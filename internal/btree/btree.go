@@ -53,6 +53,10 @@ type Tree struct {
 	appendKey  []byte // private copy of the tree's maximum key
 	appendEnd  int    // payload offset one past the last cell
 	appendCnt  int
+
+	// shape counts structural changes (cursor.go): a Cursor trusts its
+	// remembered leaf only while shape is unchanged.
+	shape uint64
 }
 
 // New opens a tree with the given root page (InvalidPage for empty).
@@ -301,6 +305,7 @@ func (t *Tree) Put(key, value []byte) error {
 			return err
 		}
 		t.root = root.id
+		t.reshape()
 	}
 	// Fast paths (fastput.go): ascending insert into the cached
 	// rightmost leaf, then in-place insert into whichever leaf the key
@@ -314,6 +319,7 @@ func (t *Tree) Put(key, value []byte) error {
 	// The structural insert splits nodes, which can move the rightmost
 	// leaf's cells; forget the cached append state.
 	t.invalidateAppendCache()
+	t.reshape()
 	sep, right, err := t.insert(t.root, key, value)
 	if err != nil {
 		return err
@@ -354,7 +360,7 @@ func (t *Tree) insert(id storage.PageID, key, value []byte) ([]byte, storage.Pag
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = clone(value)
 		}
-		return t.finishInsert(n)
+		return t.finishInsert(n, !found && i == len(n.keys)-1 && n.next == storage.InvalidPage)
 	}
 	ci := n.childIndex(key)
 	sep, right, err := t.insert(n.children[ci], key, value)
@@ -370,11 +376,16 @@ func (t *Tree) insert(id storage.PageID, key, value []byte) ([]byte, storage.Pag
 	n.children = append(n.children, 0)
 	copy(n.children[ci+2:], n.children[ci+1:])
 	n.children[ci+1] = right
-	return t.finishInsert(n)
+	return t.finishInsert(n, false)
 }
 
-// finishInsert stores n, splitting it first if it overflows.
-func (t *Tree) finishInsert(n *node) ([]byte, storage.PageID, error) {
+// finishInsert stores n, splitting it first if it overflows. tail
+// reports that n is the rightmost leaf and the insert appended the
+// tree's new maximum key: then only that key moves to the new right
+// leaf. A tree whose keys only ever ascend (the OID directory, the
+// cluster extents) thus fills every leaf it leaves behind instead of
+// half of it, and an extent scan reads half as many leaves.
+func (t *Tree) finishInsert(n *node, tail bool) ([]byte, storage.PageID, error) {
 	if n.size() <= nodeCapacity {
 		return nil, storage.InvalidPage, t.store(n)
 	}
@@ -396,6 +407,9 @@ func (t *Tree) finishInsert(n *node) ([]byte, storage.PageID, error) {
 		}
 		if cut <= 0 || cut >= len(n.keys) {
 			cut = len(n.keys) / 2
+		}
+		if tail {
+			cut = len(n.keys) - 1
 		}
 		right.keys = append(right.keys, n.keys[cut:]...)
 		right.vals = append(right.vals, n.vals[cut:]...)

@@ -22,6 +22,7 @@ func (t *Tree) Delete(key []byte) error {
 	// A delete can shrink, merge, or free the rightmost leaf; forget
 	// the cached append state (fastput.go) wholesale.
 	t.invalidateAppendCache()
+	t.reshape()
 	root, err := t.load(t.root)
 	if err != nil {
 		return err

@@ -71,27 +71,38 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	if t.appendLeaf != storage.InvalidPage && bytes.Compare(key, t.appendKey) > 0 {
 		return nil, ErrNotFound
 	}
+	id, p, err := t.descend(key)
+	if err != nil {
+		return nil, err
+	}
+	val, ok := rawLeafGet(p.Payload(), key)
+	t.pool.Unpin(id, false)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return val, nil
+}
+
+// descend walks raw pages from the root to the leaf that holds key, or
+// would hold it, and returns that leaf pinned. Caller holds t.mu and
+// has checked that the tree is not empty.
+func (t *Tree) descend(key []byte) (storage.PageID, *storage.Page, error) {
 	id := t.root
 	for {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
-			return nil, err
+			return storage.InvalidPage, nil, err
 		}
 		switch p.Type() {
+		case storage.TypeBTreeLeaf:
+			return id, p, nil
 		case storage.TypeBTreeInternal:
 			next := rawInternalChild(p.Payload(), key)
 			t.pool.Unpin(id, false)
 			id = next
-		case storage.TypeBTreeLeaf:
-			val, ok := rawLeafGet(p.Payload(), key)
-			t.pool.Unpin(id, false)
-			if !ok {
-				return nil, ErrNotFound
-			}
-			return val, nil
 		default:
 			t.pool.Unpin(id, false)
-			return nil, errf("page %d is not a tree node", id)
+			return storage.InvalidPage, nil, errf("page %d is not a tree node", id)
 		}
 	}
 }

@@ -131,32 +131,19 @@ func (t *Tree) invalidateAppendCache() {
 // leaf has room. It reports whether it handled the Put; on false the
 // caller falls back to the structural insert. Called with t.mu held.
 func (t *Tree) fastPut(key, value []byte) (bool, error) {
-	id := t.root
-	for {
-		p, err := t.pool.Fetch(id)
-		if err != nil {
-			return false, err
-		}
-		switch p.Type() {
-		case storage.TypeBTreeInternal:
-			next := rawInternalChild(p.Payload(), key)
-			t.pool.Unpin(id, false)
-			id = next
-		case storage.TypeBTreeLeaf:
-			res := rawLeafPut(p, key, value)
-			t.pool.Unpin(id, res.ok)
-			if res.ok {
-				if res.atEnd && res.next == storage.InvalidPage {
-					t.setAppendCache(id, key, res.end, res.cnt)
-				} else if id == t.appendLeaf {
-					// The leaf's cell region moved under the cache.
-					t.invalidateAppendCache()
-				}
-			}
-			return res.ok, nil
-		default:
-			t.pool.Unpin(id, false)
-			return false, errf("page %d is not a tree node", id)
+	id, p, err := t.descend(key)
+	if err != nil {
+		return false, err
+	}
+	res := rawLeafPut(p, key, value)
+	t.pool.Unpin(id, res.ok)
+	if res.ok {
+		if res.atEnd && res.next == storage.InvalidPage {
+			t.setAppendCache(id, key, res.end, res.cnt)
+		} else if id == t.appendLeaf {
+			// The leaf's cell region moved under the cache.
+			t.invalidateAppendCache()
 		}
 	}
+	return res.ok, nil
 }

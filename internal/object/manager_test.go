@@ -122,11 +122,7 @@ func TestClusterMembershipByDynamicClass(t *testing.T) {
 	if n, _ := m.ClusterSize(widget); n != 1 {
 		t.Errorf("widget extent = %d", n)
 	}
-	var seen []core.OID
-	m.ScanCluster(widget, func(oid core.OID) (bool, error) {
-		seen = append(seen, oid)
-		return true, nil
-	})
+	seen, _ := m.ClusterOIDs(widget)
 	if len(seen) != 1 || seen[0] != wo {
 		t.Errorf("widget scan = %v", seen)
 	}

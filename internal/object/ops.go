@@ -504,25 +504,6 @@ func (m *Manager) ClusterOIDs(c *core.Class) ([]core.OID, error) {
 	return oids, err
 }
 
-// ScanCluster visits the OIDs in class c's own extent (not subclasses),
-// in OID order.
-func (m *Manager) ScanCluster(c *core.Class, fn func(oid core.OID) (bool, error)) error {
-	oids, err := m.ClusterOIDs(c)
-	if err != nil {
-		return err
-	}
-	for _, oid := range oids {
-		cont, err := fn(oid)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}
-
 func oidFromClusterKey(k []byte) core.OID {
 	var oid uint64
 	for _, b := range k[4:12] {
@@ -533,12 +514,8 @@ func oidFromClusterKey(k []byte) core.OID {
 
 // ClusterSize counts a cluster's own extent.
 func (m *Manager) ClusterSize(c *core.Class) (int, error) {
-	n := 0
-	err := m.ScanCluster(c, func(core.OID) (bool, error) {
-		n++
-		return true, nil
-	})
-	return n, err
+	oids, err := m.ClusterOIDs(c)
+	return len(oids), err
 }
 
 // CreateIndex builds a secondary index on class.field and backfills it
@@ -564,11 +541,8 @@ func (m *Manager) CreateIndex(c *core.Class, field string) error {
 
 	// Backfill from every extent in the class hierarchy.
 	for _, sub := range m.schema.Hierarchy(c) {
-		var oids []core.OID
-		if err := m.ScanCluster(sub, func(oid core.OID) (bool, error) {
-			oids = append(oids, oid)
-			return true, nil
-		}); err != nil {
+		oids, err := m.ClusterOIDs(sub)
+		if err != nil {
 			return err
 		}
 		for _, oid := range oids {

@@ -30,6 +30,9 @@ func tryRun(t *testing.T, src string) (string, error) {
 	var buf strings.Builder
 	sess := NewSession(db, &buf)
 	if err := sess.Exec(src); err != nil {
+		// End the session's transaction anyway: one left open would
+		// hold db.Close for the whole close timeout.
+		sess.AbortTx()
 		return buf.String(), err
 	}
 	if err := sess.Close(); err != nil {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ode/internal/core"
+	"ode/internal/object"
 	"ode/internal/obs"
 	"ode/internal/txn"
 )
@@ -186,47 +188,62 @@ func (q *Query) eval(it Item) (bool, error) {
 	return q.pred.Eval(q.tx, it)
 }
 
-// gatherEach streams the matching items once (snapshot semantics),
-// choosing an index access path when possible. No item buffering:
-// extents of distinct classes are disjoint and index entries are
-// unique per object, so no dedup set is needed beyond the dirty map.
-func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
-	stopped := false
-	visit := func(oid core.OID) (bool, error) {
-		it, ok, err := q.fetch(oid)
-		if err != nil || !ok {
-			return err == nil, err
-		}
-		match, err := q.eval(it)
-		if err != nil {
-			return false, err
-		}
-		if !match {
-			return true, nil
-		}
+// scanBatch bounds how many objects one extent-scan step locks and
+// resolves. The object manager's read lock is held while a batch is
+// resolved, so the size also bounds how long a committing writer waits
+// behind a scan.
+const scanBatch = 64
+
+// match applies the loop's suchthat clause to a fetched item and counts
+// the yield.
+func (q *Query) match(it Item) (bool, error) {
+	ok, err := q.eval(it)
+	if ok && err == nil {
 		q.met().RowsYielded.Inc()
-		cont, err := fn(it)
-		if !cont {
-			stopped = true
-		}
-		return cont, err
 	}
+	return ok, err
+}
 
-	// Transaction-dirty objects first: they are authoritative over any
-	// (possibly stale) index entry or extent membership.
+// visitWriteSet visits the transaction's write set in OID order (the
+// first pass of every unordered loop: those objects live in tx-local
+// state and are authoritative over any index entry or extent
+// membership) and returns it as the skip set of the later passes.
+func (q *Query) visitWriteSet(fn func(Item) (bool, error)) (skip map[core.OID]bool, cont bool, err error) {
 	writeSet := q.tx.WriteSet()
-	var dirty map[core.OID]bool
-	if len(writeSet) > 0 {
-		dirty = make(map[core.OID]bool, len(writeSet))
-		for _, oid := range writeSet {
-			dirty[oid] = true
-			if cont, err := visit(oid); err != nil || !cont {
-				return err
-			}
+	if len(writeSet) == 0 {
+		return nil, true, nil
+	}
+	skip = make(map[core.OID]bool, len(writeSet))
+	for _, oid := range writeSet {
+		skip[oid] = true
+	}
+	for _, oid := range writeSet {
+		if cont, err := q.visitOID(oid, fn); err != nil || !cont {
+			return skip, false, err
 		}
 	}
+	return skip, true, nil
+}
 
-	if lo, hi, field, residualOnly := q.indexPath(); field != "" {
+// visitOID is the point-lookup path (write set, index ranges, fixpoint
+// deltas): fetch one object and yield it if it binds and matches.
+func (q *Query) visitOID(oid core.OID, fn func(Item) (bool, error)) (bool, error) {
+	it, ok, err := q.fetch(oid)
+	if err != nil || !ok {
+		return err == nil, err
+	}
+	if ok, err := q.match(it); err != nil || !ok {
+		return err == nil, err
+	}
+	return fn(it)
+}
+
+// planIndex picks the access path, records it in the plan string and
+// the plan counters, and returns the index bounds when an index serves
+// the suchthat clause (field == "" means an extent scan).
+func (q *Query) planIndex() (lo, hi core.Value, field string) {
+	lo, hi, field, residualOnly := q.indexPath()
+	if field != "" {
 		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, lo, hi)
 		if residualOnly {
 			q.plan += " + residual"
@@ -234,193 +251,233 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		if !q.internal {
 			q.met().PlanIndexRange.Inc()
 		}
-		return q.tx.Manager().IndexScan(q.class, field, lo, hi, func(oid core.OID) (bool, error) {
-			if dirty[oid] {
-				return true, nil // already handled from the write set
-			}
-			return visit(oid)
-		})
+		return lo, hi, field
 	}
-
 	q.plan = fmt.Sprintf("extent-scan(%s%s)", q.class.Name, starIf(q.subtypes))
 	if !q.internal {
 		q.met().PlanExtentScan.Inc()
 	}
-	for _, c := range q.classes() {
+	return lo, hi, ""
+}
+
+// gatherEach streams the matching items once (snapshot semantics),
+// choosing an index access path when possible. No item buffering:
+// extents of distinct classes are disjoint and index entries are
+// unique per object, so no dedup set is needed beyond the write set.
+func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
+	skip, cont, err := q.visitWriteSet(fn)
+	if err != nil || !cont {
+		return err
+	}
+	if lo, hi, field := q.planIndex(); field != "" {
+		return q.tx.Manager().IndexScan(q.class, field, lo, hi, func(oid core.OID) (bool, error) {
+			if skip[oid] {
+				return true, nil // already handled from the write set
+			}
+			return q.visitOID(oid, fn)
+		})
+	}
+	r := q.tx.NewBatchReader()
+	var leaf []core.OID
+	for _, ext := range q.extents() {
 		// Extent boundary: a scan over a class hierarchy re-checks the
 		// transaction context between extents.
 		if err := q.tx.Err(); err != nil {
 			return err
 		}
-		err := q.tx.Manager().ScanCluster(c, func(oid core.OID) (bool, error) {
-			if dirty[oid] {
-				return true, nil
+		for {
+			if leaf, err = ext.Next(leaf[:0]); err != nil || len(leaf) == 0 {
+				break
 			}
-			return visit(oid)
-		})
-		if err != nil || stopped {
+			if cont, err = q.scanLeaf(r, leaf, skip, fn); err != nil || !cont {
+				return err
+			}
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// candidateOIDs snapshots the OIDs the loop must visit, choosing the
-// same access path (index range vs extent scan) as gatherEach and
-// recording the same plan string and plan counters. OIDs in dirty are
-// excluded (the serial write-set pass already visited them).
-func (q *Query) candidateOIDs(dirty map[core.OID]bool) ([]core.OID, error) {
-	keep := func(oids []core.OID) []core.OID {
-		if len(dirty) == 0 {
-			return oids
+// extents starts the reads of the iterated extents, all bounded at the
+// same moment: objects created after the loop starts are not visited
+// (DESIGN.md, "Extent scans").
+func (q *Query) extents() []*object.Extent {
+	classes := q.classes()
+	exts := make([]*object.Extent, len(classes))
+	for i, c := range classes {
+		exts[i] = q.tx.Manager().Extent(c)
+	}
+	return exts
+}
+
+// scanLeaf visits the objects of one cluster leaf in OID order,
+// scanBatch at a time: each batch is locked and then resolved as a
+// whole (txn.BatchReader), and only then handed to the loop body, which
+// therefore never runs with the object manager's lock held. OIDs in
+// skip (visited from the write set) are left out; the leaf slice is
+// filtered in place. It reports whether the loop goes on.
+func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]bool, fn func(Item) (bool, error)) (bool, error) {
+	if len(skip) > 0 {
+		leaf = slices.DeleteFunc(leaf, func(oid core.OID) bool { return skip[oid] })
+	}
+	for len(leaf) > 0 {
+		batch := leaf[:min(len(leaf), scanBatch)]
+		leaf = leaf[len(batch):]
+		// Batch boundary: the scan's cancellation point.
+		if err := q.tx.Err(); err != nil {
+			return false, err
 		}
-		out := oids[:0]
-		for _, oid := range oids {
-			if !dirty[oid] {
-				out = append(out, oid)
+		objs, err := r.Read(batch)
+		if err != nil {
+			return false, err
+		}
+		q.met().RowsScanned.Add(uint64(len(batch)))
+		for i, o := range objs {
+			if o == nil || !q.classMatch(o.Class()) {
+				continue // deleted before the scan reached it
+			}
+			it := Item{OID: batch[i], Obj: o}
+			ok, err := q.match(it)
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				continue
+			}
+			if cont, err := fn(it); err != nil || !cont {
+				return false, err
 			}
 		}
-		return out
 	}
-	if lo, hi, field, residualOnly := q.indexPath(); field != "" {
-		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, lo, hi)
-		if residualOnly {
-			q.plan += " + residual"
-		}
-		if !q.internal {
-			q.met().PlanIndexRange.Inc()
-		}
-		oids, err := q.tx.Manager().IndexOIDs(q.class, field, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return keep(oids), nil
-	}
-	q.plan = fmt.Sprintf("extent-scan(%s%s)", q.class.Name, starIf(q.subtypes))
-	if !q.internal {
-		q.met().PlanExtentScan.Inc()
-	}
-	var all []core.OID
-	for _, c := range q.classes() {
-		oids, err := q.tx.Manager().ClusterOIDs(c)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, keep(oids)...)
-	}
-	return all, nil
+	return true, nil
 }
 
 // runParallel is the snapshot loop partitioned across q.workers
 // goroutines. The transaction write set is visited first, serially
 // (those objects live in tx-local state and are authoritative); the
-// committed candidates are then split into chunks claimed from a shared
-// counter. A body returning false or an error raises a stop flag that
-// every worker polls per object, and the error of the lowest-numbered
-// chunk wins, so the reported error does not depend on goroutine
-// scheduling.
+// committed candidates are then claimed in chunks from a shared source:
+// one cluster leaf per chunk on an extent scan, a slice of the range on
+// an index scan. A body returning false or an error raises a stop flag
+// that every worker polls per object, and the error of the
+// lowest-numbered chunk wins, so the reported error does not depend on
+// goroutine scheduling.
 func (q *Query) runParallel(fn func(Item) (bool, error)) error {
-	visit := func(oid core.OID) (bool, error) {
-		it, ok, err := q.fetch(oid)
-		if err != nil || !ok {
-			return err == nil, err
-		}
-		match, err := q.eval(it)
-		if err != nil {
-			return false, err
-		}
-		if !match {
-			return true, nil
-		}
-		q.met().RowsYielded.Inc()
-		return fn(it)
-	}
-
-	writeSet := q.tx.WriteSet()
-	var dirty map[core.OID]bool
-	if len(writeSet) > 0 {
-		dirty = make(map[core.OID]bool, len(writeSet))
-		for _, oid := range writeSet {
-			dirty[oid] = true
-			cont, err := visit(oid)
-			if err != nil || !cont {
-				return err
-			}
-		}
-	}
-
-	oids, err := q.candidateOIDs(dirty)
-	if err != nil {
+	skip, cont, err := q.visitWriteSet(fn)
+	if err != nil || !cont {
 		return err
 	}
+	lo, hi, field := q.planIndex()
 	q.plan += fmt.Sprintf(" parallel(%d)", q.workers)
 	if !q.internal {
 		q.met().ParallelForalls.Inc()
 	}
-	if len(oids) == 0 {
-		return nil
-	}
-	workers := q.workers
-	if workers > len(oids) {
-		workers = len(oids)
-	}
-	// ~8 chunks per worker balances skew against claim traffic.
-	chunk := len(oids) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	nchunks := (len(oids) + chunk - 1) / chunk
 
-	chunkErr := make([]error, nchunks)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// next hands out the chunks; the claim lock serializes it.
+	var next func(buf []core.OID) ([]core.OID, error)
+	if field != "" {
+		oids, err := q.tx.Manager().IndexOIDs(q.class, field, lo, hi)
+		if err != nil {
+			return err
+		}
+		oids = slices.DeleteFunc(oids, func(oid core.OID) bool { return skip[oid] })
+		// ~8 chunks per worker balances skew against claim traffic.
+		chunk := max(1, len(oids)/(q.workers*8))
+		next = func([]core.OID) ([]core.OID, error) {
+			part := oids[:min(chunk, len(oids))]
+			oids = oids[len(part):]
+			return part, nil
+		}
+	} else {
+		exts := q.extents()
+		next = func(buf []core.OID) ([]core.OID, error) {
+			for len(exts) > 0 {
+				leaf, err := exts[0].Next(buf[:0])
+				if err != nil || len(leaf) > 0 {
+					return leaf, err
+				}
+				exts = exts[1:]
+			}
+			return nil, nil
+		}
+	}
+
+	var (
+		claimMu  sync.Mutex
+		claimed  int
+		firstErr error
+		errChunk = -1
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+	)
+	fail := func(ci int, err error) {
+		claimMu.Lock()
+		if errChunk < 0 || ci < errChunk {
+			firstErr, errChunk = err, ci
+		}
+		claimMu.Unlock()
+		stop.Store(true)
+	}
+	visit := func(it Item) (bool, error) {
+		if stop.Load() {
+			return false, nil
+		}
+		return fn(it)
+	}
+	for w := 0; w < q.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var r *txn.BatchReader
+			var buf []core.OID
 			for !stop.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
+				claimMu.Lock()
+				ci := claimed
+				claimed++
 				// Chunk boundary: each worker re-checks the transaction
 				// context before claiming more work, so a Parallel(n)
 				// scan stops within one chunk of cancellation.
-				if err := q.tx.Err(); err != nil {
-					chunkErr[ci] = err
-					stop.Store(true)
+				err := q.tx.Err()
+				var chunk []core.OID
+				if err == nil {
+					chunk, err = next(buf)
+				}
+				claimMu.Unlock()
+				if err != nil {
+					fail(ci, err)
 					return
 				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > len(oids) {
-					hi = len(oids)
+				if len(chunk) == 0 {
+					return
 				}
-				for _, oid := range oids[lo:hi] {
-					if stop.Load() {
-						return
+				cont := true
+				if field != "" {
+					for _, oid := range chunk {
+						if cont, err = q.visitOID(oid, visit); err != nil || !cont {
+							break
+						}
 					}
-					cont, err := visit(oid)
-					if err != nil {
-						chunkErr[ci] = err // one worker per chunk: no race
-						stop.Store(true)
-						return
+				} else {
+					buf = chunk
+					if r == nil {
+						r = q.tx.NewBatchReader()
 					}
-					if !cont {
-						stop.Store(true)
-						return
-					}
+					cont, err = q.scanLeaf(r, chunk, skip, visit)
+				}
+				if err != nil {
+					fail(ci, err)
+					return
+				}
+				if !cont {
+					stop.Store(true)
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, e := range chunkErr {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return firstErr
 }
 
 // gather collects the matching items (ordered runs need them all).
@@ -442,10 +499,10 @@ func starIf(b bool) string {
 
 // fetch loads the tx-visible state of oid and reports whether it binds
 // the loop variable (exists, not deleted, class matches). It is the
-// per-row cancellation point of every scan shape: an expired or
+// per-row cancellation point of the point-lookup paths: an expired or
 // canceled transaction context stops the loop with a typed error even
 // when the row would have been served from tx-local state without a
-// lock wait.
+// lock wait. (Extent scans check once per batch, in scanLeaf.)
 func (q *Query) fetch(oid core.OID) (Item, bool, error) {
 	if err := q.tx.Err(); err != nil {
 		return Item{}, false, err
@@ -544,31 +601,16 @@ func (q *Query) runOrdered(fn func(it Item) (bool, error)) error {
 // created into the iterated extents during the loop, until no new
 // matching objects appear. This realizes the paper's recursive-query
 // semantics for cluster loops.
+//
+// Only the write set can grow during the loop, so a loop that leaves
+// it empty is done after the first pass; the first pass just notes the
+// OIDs it yielded, and the visited set is built from them only when a
+// delta pass has something to compare against.
 func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
-	visited := make(map[core.OID]bool)
+	var yielded []core.OID
 	stopped := false
-	visit := func(items []Item) error {
-		for _, it := range items {
-			if visited[it.OID] {
-				continue
-			}
-			visited[it.OID] = true
-			cont, err := fn(it)
-			if err != nil {
-				return err
-			}
-			if !cont {
-				stopped = true
-				return nil
-			}
-		}
-		return nil
-	}
 	err := q.gatherEach(func(it Item) (bool, error) {
-		if visited[it.OID] {
-			return true, nil
-		}
-		visited[it.OID] = true
+		yielded = append(yielded, it.OID)
 		cont, err := fn(it)
 		if !cont {
 			stopped = true
@@ -578,11 +620,19 @@ func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
 	if err != nil || stopped {
 		return err
 	}
+	writeSet := q.tx.WriteSet()
+	if len(writeSet) == 0 {
+		return nil
+	}
+	visited := make(map[core.OID]bool, len(yielded))
+	for _, oid := range yielded {
+		visited[oid] = true
+	}
 	for {
 		// Newly created objects land in the transaction write set; a
 		// cheap delta pass over it suffices.
 		var delta []Item
-		for _, oid := range q.tx.WriteSet() {
+		for _, oid := range writeSet {
 			if visited[oid] {
 				continue
 			}
@@ -594,12 +644,11 @@ func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
 				visited[oid] = true // deleted or class mismatch: never visit
 				continue
 			}
-			match, err := q.eval(it)
+			match, err := q.match(it)
 			if err != nil {
 				return err
 			}
 			if match {
-				q.met().RowsYielded.Inc()
 				delta = append(delta, it)
 			} else {
 				visited[oid] = true
@@ -609,9 +658,14 @@ func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
 			return nil
 		}
 		q.met().FixpointRounds.Inc()
-		if err := visit(delta); err != nil || stopped {
-			return err
+		for _, it := range delta {
+			visited[it.OID] = true
+			cont, err := fn(it)
+			if err != nil || !cont {
+				return err
+			}
 		}
+		writeSet = q.tx.WriteSet()
 	}
 }
 

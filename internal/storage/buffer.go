@@ -175,29 +175,48 @@ func (bp *Pool) NewPage() (*Page, error) {
 	return &fr.page, nil
 }
 
-// victim returns a free frame, evicting the least recently used
-// unpinned page if the shard is at capacity. Caller holds s.mu.
+// victim returns a free frame, evicting if the shard is at capacity:
+// the least recently used clean unpinned page, or — only when the shard
+// has none — the least recently used dirty one, written back first. So
+// a reader never pays a write (and its double-write fsync) for a page
+// some other transaction dirtied while a clean page could go instead;
+// dirty pages leave at checkpoints, or under real write pressure.
+// Caller holds s.mu.
 func (bp *Pool) victim(s *poolShard) (*frame, error) {
 	if len(s.frames) < s.cap {
 		return &frame{pins: 0}, nil
 	}
+	var dirty *list.Element
 	for e := s.lru.Back(); e != nil; e = e.Prev() {
 		fr := e.Value.(*frame)
 		if fr.pins > 0 {
 			continue
 		}
-		if fr.dirty {
-			if err := bp.writeBack(fr); err != nil {
-				return nil, err
-			}
+		if !fr.dirty {
+			return bp.evict(s, e), nil
 		}
-		delete(s.frames, fr.page.id)
-		s.lru.Remove(e)
-		fr.elem = nil
-		bp.met.Evictions.Inc()
-		return fr, nil
+		if dirty == nil {
+			dirty = e
+		}
 	}
-	return nil, ErrPoolFull
+	if dirty == nil {
+		return nil, ErrPoolFull
+	}
+	if err := bp.writeBack(dirty.Value.(*frame)); err != nil {
+		return nil, err
+	}
+	return bp.evict(s, dirty), nil
+}
+
+// evict drops an unpinned, clean frame from the shard and returns it
+// for reuse. Caller holds s.mu.
+func (bp *Pool) evict(s *poolShard, e *list.Element) *frame {
+	fr := e.Value.(*frame)
+	delete(s.frames, fr.page.id)
+	s.lru.Remove(e)
+	fr.elem = nil
+	bp.met.Evictions.Inc()
+	return fr
 }
 
 // install registers the frame in the shard's map and LRU. Caller holds

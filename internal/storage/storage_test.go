@@ -342,6 +342,66 @@ func TestPoolDirtyEvictionPersists(t *testing.T) {
 	}
 }
 
+// Eviction prefers clean frames: a reader cycling through more clean
+// pages than the pool holds never writes back the dirty frames another
+// writer left behind, while a shard with nothing but dirty frames still
+// writes one back rather than failing.
+func TestPoolEvictsCleanBeforeDirty(t *testing.T) {
+	fs, bp := newTestPool(t, 4)
+	var ids []PageID
+	for i := 0; i < 10; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetType(TypeHeap)
+		ids = append(ids, p.ID())
+		bp.Unpin(p.ID(), true)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Dirty the first two pages; they become the least recently used.
+	for _, id := range ids[:2] {
+		p, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(p.Payload(), "dirty")
+		bp.Unpin(id, true)
+	}
+	writes := bp.smet.PageWrites.Load()
+	for round := 0; round < 3; round++ {
+		for _, id := range ids[2:] {
+			if _, err := bp.Fetch(id); err != nil {
+				t.Fatal(err)
+			}
+			bp.Unpin(id, false)
+		}
+	}
+	if got := bp.smet.PageWrites.Load() - writes; got != 0 {
+		t.Fatalf("a clean read cycle wrote back %d dirty pages", got)
+	}
+	// Four new dirty pages leave no clean frame: dirty ones must go.
+	for i := 0; i < 4; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetType(TypeHeap)
+		bp.Unpin(p.ID(), true)
+	}
+	var raw Page
+	for _, id := range ids[:2] {
+		if err := fs.ReadPage(id, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw.Payload(), []byte("dirty")) {
+			t.Errorf("page %d was evicted without its write-back", id)
+		}
+	}
+}
+
 func TestPoolFlushAllAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.odb")

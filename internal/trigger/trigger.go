@@ -139,16 +139,20 @@ func (s *Service) SetMetrics(tm *obs.TriggerMetrics) { s.met = tm }
 // activation extent (after open or recovery).
 func (s *Service) loadActivations() error {
 	mgr := s.engine.Manager()
-	return mgr.ScanCluster(s.actClass, func(oid core.OID) (bool, error) {
+	oids, err := mgr.ClusterOIDs(s.actClass)
+	if err != nil {
+		return err
+	}
+	for _, oid := range oids {
 		o, _, err := mgr.Get(oid)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if target, ok := o.MustGet("target").AnyOID(); ok && o.MustGet("active").Bool() {
 			s.indexActivation(target, oid)
 		}
-		return true, nil
-	})
+	}
+	return nil
 }
 
 func (s *Service) indexActivation(target, act core.OID) {
@@ -496,19 +500,19 @@ func (s *Service) runAction(f firing) error {
 func (s *Service) ExpireBefore(now time.Time) (int, error) {
 	mgr := s.engine.Manager()
 	var expired []core.OID
-	err := mgr.ScanCluster(s.actClass, func(oid core.OID) (bool, error) {
+	oids, err := mgr.ClusterOIDs(s.actClass)
+	if err != nil {
+		return 0, err
+	}
+	for _, oid := range oids {
 		o, _, err := mgr.Get(oid)
 		if err != nil {
-			return false, err
+			return 0, err
 		}
 		d := o.MustGet("deadline").Int()
 		if d != 0 && d < now.UnixNano() && o.MustGet("active").Bool() {
 			expired = append(expired, oid)
 		}
-		return true, nil
-	})
-	if err != nil {
-		return 0, err
 	}
 	n := 0
 	for _, actOID := range expired {

@@ -194,6 +194,50 @@ func TestDeadContextFastFails(t *testing.T) {
 	}
 }
 
+// A pending S -> X upgrade makes new readers queue behind it (so
+// readers that keep arriving cannot starve it); when the upgrade gives
+// up on its deadline instead, the queued reader is let in at once.
+func TestPendingUpgradeQueuesNewReaders(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	const oid = core.OID(5)
+	for _, tx := range []uint64{1, 2} {
+		if err := lm.Acquire(bg, tx, oid, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(bg)
+	upgrade := make(chan error, 1)
+	go func() { upgrade <- lm.Acquire(ctx, 1, oid, Exclusive) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 1 })
+
+	reader := make(chan error, 1)
+	go func() { reader <- lm.Acquire(bg, 3, oid, Shared) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 2 })
+
+	cancel()
+	if err := <-upgrade; !errors.Is(err, ErrCanceled) {
+		t.Fatalf("abandoned upgrade = %v, want ErrCanceled", err)
+	}
+	select {
+	case err := <-reader:
+		if err != nil {
+			t.Fatalf("queued reader = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued reader still waits after the upgrade gave up")
+	}
+	for _, tx := range []uint64{1, 2, 3} {
+		if got := lm.HeldLocks(tx)[oid]; got != Shared {
+			t.Fatalf("tx %d holds %v, want S", tx, got)
+		}
+		lm.ReleaseAll(tx)
+	}
+	if n := lm.TableSize(); n != 0 {
+		t.Fatalf("lock table holds %d entries, want 0", n)
+	}
+}
+
 // --- Governor ----------------------------------------------------------
 
 func TestGovernorSlotsQueueReject(t *testing.T) {

@@ -1,9 +1,11 @@
 package txn
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -464,6 +466,67 @@ func (tx *Tx) Deref(oid core.OID) (*core.Object, error) {
 	return o, nil
 }
 
+// BatchReader is Deref for a batch of objects at a time, for one
+// goroutine of an extent scan. It gives the same view as Deref —
+// objects this transaction wrote come from its private state — and
+// takes the same locks, S on every other object, held to commit; but it
+// takes a batch's locks in one lock-table critical section and then
+// resolves the whole batch under one hold of the object manager's read
+// lock (object.Resolver).
+type BatchReader struct {
+	tx   *Tx
+	res  *object.Resolver
+	need []core.OID // the batch's OIDs outside the write set
+	pos  []int      // their positions in the batch
+	objs []*core.Object
+	out  []*core.Object
+}
+
+// NewBatchReader returns a batch reader over the transaction.
+func (tx *Tx) NewBatchReader() *BatchReader {
+	return &BatchReader{tx: tx, res: tx.engine.mgr.NewResolver()}
+}
+
+// Read returns the transaction's view of each of oids, which must
+// ascend: nil where that object does not exist or this transaction
+// deleted it. The slice is reused by the next call. All locks are taken
+// before anything is read, so no commit can slip in between a lock and
+// its read.
+func (b *BatchReader) Read(oids []core.OID) ([]*core.Object, error) {
+	tx := b.tx
+	if err := tx.ensureActive(); err != nil {
+		return nil, err
+	}
+	out := slices.Grow(b.out[:0], len(oids))[:len(oids)]
+	b.out = out
+	b.need, b.pos = b.need[:0], b.pos[:0]
+	for i, oid := range oids {
+		if w, ok := tx.writes[oid]; ok {
+			out[i] = nil
+			if w.obj != nil {
+				out[i] = w.obj.Copy()
+			}
+			continue
+		}
+		b.need = append(b.need, oid)
+		b.pos = append(b.pos, i)
+	}
+	if len(b.need) == 0 {
+		return out, nil
+	}
+	if err := tx.lockAll(b.need, Shared); err != nil {
+		return nil, err
+	}
+	b.objs = slices.Grow(b.objs[:0], len(b.need))[:len(b.need)]
+	if err := b.res.Resolve(b.need, b.objs); err != nil {
+		return nil, err
+	}
+	for j, o := range b.objs {
+		out[b.pos[j]] = o
+	}
+	return out, nil
+}
+
 // DerefVersion implements core.Store for pinned version references.
 func (tx *Tx) DerefVersion(ref core.VRef) (*core.Object, error) {
 	if err := tx.ensureActive(); err != nil {
@@ -701,8 +764,22 @@ func (tx *Tx) lock(oid core.OID, mode LockMode) error {
 	return err
 }
 
+// lockAll is lock for a batch of OIDs, granted together where no other
+// transaction conflicts (LockManager.AcquireAll).
+func (tx *Tx) lockAll(oids []core.OID, mode LockMode) error {
+	if err := tx.ctx.Err(); err != nil {
+		return tx.noteCtxErr(err)
+	}
+	err := tx.engine.locks.AcquireAll(tx.ctx, tx.id, oids, mode)
+	if err != nil {
+		tx.noteIfCtx(err)
+	}
+	return err
+}
+
 // WriteSet returns the OIDs this transaction created, updated, or
-// deleted (the trigger layer evaluates conditions over these).
+// deleted, ascending (the trigger layer evaluates conditions over
+// these).
 func (tx *Tx) WriteSet() []core.OID {
 	var out []core.OID
 	for oid, w := range tx.writes {
@@ -710,6 +787,7 @@ func (tx *Tx) WriteSet() []core.OID {
 			out = append(out, oid)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -892,11 +970,23 @@ func (tx *Tx) precommit() ([]wal.Op, error) {
 }
 
 // buildOps lowers the buffered write set to WAL operations: frozen
-// version snapshots first, then puts/deletes, then any explicit
-// buffered ops (version deletions).
+// version snapshots first, in OID then version order; then puts and
+// deletes in OID order; then any explicit buffered ops (version
+// deletions), in the order they were made. The order is a function of
+// the transaction's writes alone, so the same program logs the same
+// bytes on every run, and the objects one commit creates land on heap
+// pages in OID order, where extent scans read them.
 func (tx *Tx) buildOps() []wal.Op {
 	var ops []wal.Op
-	for ref, obj := range tx.frozen {
+	refs := make([]core.VRef, 0, len(tx.frozen))
+	for ref := range tx.frozen {
+		refs = append(refs, ref)
+	}
+	slices.SortFunc(refs, func(a, b core.VRef) int {
+		return cmp.Or(cmp.Compare(a.OID, b.OID), cmp.Compare(a.Version, b.Version))
+	})
+	for _, ref := range refs {
+		obj := tx.frozen[ref]
 		// Skip snapshots of objects deleted later in the transaction.
 		if tx.IsDeleted(ref.OID) {
 			continue
@@ -909,10 +999,8 @@ func (tx *Tx) buildOps() []wal.Op {
 			Image:   object.Encode(obj),
 		})
 	}
-	for oid, w := range tx.writes {
-		if !w.dirty {
-			continue
-		}
+	for _, oid := range tx.WriteSet() {
+		w := tx.writes[oid]
 		if w.obj == nil {
 			if w.created {
 				continue // created and deleted in the same transaction

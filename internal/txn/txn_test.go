@@ -619,3 +619,74 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 		t.Fatalf("deadlocks=%d oks=%d, want at least one of each", deadlocks, oks)
 	}
 }
+
+// The bytes a commit logs are a function of the transaction's writes
+// alone: the same program on two fresh databases stages identical
+// batches, and the objects one commit creates land on heap pages in
+// OID order.
+func TestCommitBatchesAreDeterministic(t *testing.T) {
+	run := func() [][]byte {
+		e, item := newTestEngine(t)
+		var batches [][]byte
+		e.SetOnCommit(func(_ uint64, raw []byte) { batches = append(batches, append([]byte(nil), raw...)) })
+		tx := e.Begin()
+		var oids []core.OID
+		for i := 0; i < 200; i++ {
+			oid, err := tx.PNew(item, newItem(item, fmt.Sprintf("n%d", i), int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oids = append(oids, oid)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx = e.Begin()
+		for i, oid := range oids[:50] {
+			if _, err := tx.NewVersion(oid); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.NewVersion(oid); err != nil {
+				t.Fatal(err)
+			}
+			switch i % 3 {
+			case 0:
+				if err := tx.Update(oid, newItem(item, "u", int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if err := tx.PDelete(oid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// Creation order is heap order: in page-then-slot order the
+		// current images ascend by OID.
+		var last core.OID
+		err := e.Manager().ScanAllRecords(func(kind byte, oid core.OID, _ uint32, _ []byte) error {
+			if kind == object.RecCurrent {
+				if oid < last {
+					return fmt.Errorf("@%d stored after @%d", oid, last)
+				}
+				last = oid
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batches
+	}
+	a, b := run(), run()
+	if len(a) != 2 || len(b) != 2 {
+		t.Fatalf("got %d and %d batches, want 2 each", len(a), len(b))
+	}
+	for i := range a {
+		if string(a[i]) != string(b[i]) {
+			t.Fatalf("batch %d differs between identical runs (%d vs %d bytes)", i, len(a[i]), len(b[i]))
+		}
+	}
+}

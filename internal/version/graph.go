@@ -68,19 +68,19 @@ func (s *Service) Class() *core.Class { return s.cls }
 func (s *Service) graphOf(tx *txn.Tx, oid core.OID) (core.OID, *core.Object, error) {
 	var goid core.OID
 	var gobj *core.Object
-	err := tx.Manager().ScanCluster(s.cls, func(g core.OID) (bool, error) {
+	graphs, err := tx.Manager().ClusterOIDs(s.cls)
+	if err != nil {
+		return core.NilOID, nil, err
+	}
+	for _, g := range graphs {
 		o, err := tx.Deref(g)
 		if err != nil {
-			return false, err
+			return core.NilOID, nil, err
 		}
 		if t, ok := o.MustGet("target").AnyOID(); ok && t == oid {
 			goid, gobj = g, o
-			return false, nil
+			break
 		}
-		return true, nil
-	})
-	if err != nil {
-		return core.NilOID, nil, err
 	}
 	// Graphs created in this transaction are not in the extent yet.
 	if gobj == nil {

@@ -84,6 +84,9 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		each    = 10
 	)
 	var wg sync.WaitGroup
+	// StageRaw's contract requires the caller's commit lock (the engine
+	// serializes staging under it); only SyncTo runs concurrently.
+	var commitMu sync.Mutex
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
@@ -92,7 +95,9 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				txid := uint64(w*each + i + 1)
+				commitMu.Lock()
 				target, err := l.StageRaw(EncodeBatch(txid, []Op{put(txid, "x")}))
+				commitMu.Unlock()
 				if err == nil {
 					err = l.SyncTo(target)
 				}
