@@ -149,7 +149,8 @@ gate_record_min() {
 }
 
 # gate_skip_single_cpu — concurrency throughput is noise when the
-# workers time-slice one core; both gates skip rather than flake.
+# workers time-slice one core; bench_gate.sh skips entirely and
+# workload_gate.sh skips its throughput check rather than flake.
 gate_skip_single_cpu() {
     local cpus
     cpus=$(nproc 2>/dev/null || echo 1)

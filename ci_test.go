@@ -184,3 +184,51 @@ func TestGateRowWorkloadBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkloadGateSingleCPU runs ci/workload_gate.sh on a faked 1-CPU
+// host (a PATH shim whose nproc prints 1): the throughput check skips,
+// but the deterministic op-count check still runs and still fails on a
+// drifted count.
+func TestWorkloadGateSingleCPU(t *testing.T) {
+	dir := t.TempDir()
+	shim := filepath.Join(dir, "nproc")
+	if err := os.WriteFile(shim, []byte("#!/bin/sh\necho 1\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	gate := func(report string) (string, error) {
+		cmd := exec.Command("bash", "ci/workload_gate.sh", report)
+		cmd.Env = append(os.Environ(), "PATH="+dir+string(os.PathListSeparator)+os.Getenv("PATH"))
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+
+	out, err := gate("WORKLOAD_BASELINE.json")
+	if err != nil {
+		t.Fatalf("gate on the baseline itself: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "ops (deterministic)") {
+		t.Fatalf("1-CPU gate ran no op-count check:\n%s", out)
+	}
+	if strings.Contains(out, "ops/s") {
+		t.Fatalf("1-CPU gate ran the throughput check:\n%s", out)
+	}
+
+	base, err := os.ReadFile("WORKLOAD_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := decodeRows(t, "WORKLOAD_BASELINE.json")
+	ops := rows[0]["ops"].(json.Number).String()
+	old := `"ops": ` + ops + `,`
+	if !strings.Contains(string(base), old) {
+		t.Fatalf("baseline has no line %q", old)
+	}
+	drifted := filepath.Join(dir, "drifted.json")
+	bad := strings.Replace(string(base), old, `"ops": 1`+ops+`,`, 1)
+	if err := os.WriteFile(drifted, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := gate(drifted); err == nil || !strings.Contains(out, "op count") {
+		t.Fatalf("gate on a drifted op count: err=%v, want an op-count failure\n%s", err, out)
+	}
+}

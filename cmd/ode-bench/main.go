@@ -231,20 +231,23 @@ func runFaults() int {
 		fmt.Printf(" -cancel")
 	}
 	fmt.Println()
-	res, err := torture.Run(torture.Config{
+	cfg := torture.Config{
 		Seed:        seed,
 		Rounds:      *faultRounds,
 		OpsPerRound: *faultOps,
-		Cancel:      *faultCancel,
 		Dir:         dir,
 		Log:         os.Stdout,
-	})
+	}
+	if *faultCancel {
+		cfg.Mode = "cancel"
+	}
+	res, err := torture.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ode-bench: torture failed (store kept at %s): %v\n", dir, err)
 		return 1
 	}
 	fmt.Printf("\ntorture passed: rounds=%d ops=%d commits=%d aborts=%d kills=%d overloads=%d faults=%d recoveries=%d resurrected=%d\n",
-		res.Rounds, res.Ops, res.Commits, res.Aborts, res.Kills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected)
+		res.Rounds, res.Ops, res.Commits, res.Aborts, res.TxKills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected)
 	if len(res.SitesFired) > 0 {
 		sites := make([]string, 0, len(res.SitesFired))
 		for s := range res.SitesFired {

@@ -277,8 +277,9 @@ func runLoop(cfg *config) int {
 		follow = out.follow
 		if out.wipe {
 			fmt.Fprintln(os.Stderr, "ode-server: wiping local copy for full resync")
-			for _, suffix := range []string{"", ".wal", ".dw", ".rebuild"} {
-				os.Remove(cfg.dbPath + suffix)
+			if err := ode.RemoveFiles(cfg.dbPath); err != nil {
+				fmt.Fprintf(os.Stderr, "ode-server: wipe for resync: %v\n", err)
+				return exitFatal
 			}
 		}
 		if time.Since(started) > time.Minute {

@@ -28,10 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -58,40 +56,6 @@ const (
 	ncOpCtx      = 2 * time.Second        // per-client-op context budget
 )
 
-// NetChaosConfig parameterizes a network-chaos torture run.
-type NetChaosConfig struct {
-	// Seed drives every random decision of the run.
-	Seed int64
-	// Rounds is the number of fault/traffic/heal/converge cycles.
-	Rounds int
-	// OpsPerRound bounds the client operations attempted per round.
-	OpsPerRound int
-	// Dir holds all three stores' files. It must exist; the harness
-	// never deletes it (CI uploads it as an artifact on failure).
-	Dir string
-	// Log, if non-nil, receives progress lines.
-	Log io.Writer
-}
-
-// NetChaosResult summarizes a completed network-chaos run.
-type NetChaosResult struct {
-	Rounds     int
-	Ops        int
-	Acked      int // writes acknowledged to the client (verified never lost)
-	Uncertain  int // writes that errored or timed out (may or may not have landed)
-	Reads      int
-	ReadFails  int // reads lost to transport noise mid-fault (never to absence)
-	StaleReads int // floored reads answered "no object" mid-fault (see readAcked)
-	Promotions int
-	Resyncs    int // wipe-and-rebootstrap cycles (self-healing)
-	Partitions int
-	Kills      int
-	Resets     int
-	Stalls     int
-	Delays     int
-	FinalEpoch uint64
-}
-
 // ackedWrite is one client write whose commit was acknowledged — the
 // harness holds the server to it forever after.
 type ackedWrite struct {
@@ -100,9 +64,8 @@ type ackedWrite struct {
 }
 
 type chaosRun struct {
-	cfg NetChaosConfig
+	cfg Config
 	rng *rand.Rand
-	log io.Writer
 
 	nmet  *netchaos.Metrics
 	links [ncNodes][ncNodes]*netchaos.Link // [dialer][target]; nil diagonal
@@ -126,7 +89,7 @@ type chaosRun struct {
 	checkDone chan struct{}
 
 	resMu sync.Mutex // event goroutines bump counters concurrently
-	res   NetChaosResult
+	res   Result
 }
 
 // repDeath carries a fatal replica-stream exit to the node's event
@@ -141,21 +104,17 @@ type repDeath struct {
 // incarnations. The generation counter invalidates the previous
 // incarnation's event goroutine and replica watcher on every restart.
 type chaosNode struct {
+	node // store, source and server; guarded by lifeMu (addr is the reserved port)
 	run  *chaosRun
 	idx  int
 	name string // advertised election identity ("n0"..)
-	path string
-	addr string // real listen address, stable across restarts
 
 	lifeMu sync.Mutex // serializes start/teardown/promote/repoint/digest
 	gen    int
 
-	mu      sync.Mutex // guards the handle fields for cheap concurrent reads
-	db      *ode.DB
-	stock   *ode.Class
+	mu      sync.Mutex // guards the fields below for cheap concurrent reads
+	live    *ode.DB    // node.db, published to the samplers while the incarnation runs
 	met     *repl.Metrics
-	src     *repl.Source
-	srv     *server.Server
 	rep     *repl.Replica
 	mon     *repl.Monitor
 	follow  string
@@ -174,27 +133,11 @@ func ncReplicaOpts() *repl.ReplicaOptions {
 	}
 }
 
-// RunNetChaos executes one network-chaos torture run; any invariant
-// violation or unexpected error is returned with the seed for
-// reproduction.
-func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("torture: NetChaosConfig.Dir is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 8
-	}
-	if cfg.OpsPerRound <= 0 {
-		cfg.OpsPerRound = 20
-	}
-	logW := cfg.Log
-	if logW == nil {
-		logW = io.Discard
-	}
+// runNetChaos is the driver behind mode "netchaos".
+func runNetChaos(cfg Config) (*Result, error) {
 	r := &chaosRun{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		log:        logW,
 		nmet:       &netchaos.Metrics{},
 		epochOwner: make(map[uint64]int),
 		checkStop:  make(chan struct{}),
@@ -203,21 +146,18 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 	r.nmet.Attach(obs.NewRegistry())
 	err := r.runAll()
 	res := r.result()
-	if err != nil {
-		return &res, fmt.Errorf("torture(netchaos): seed %d: %w (stores kept at %s)", cfg.Seed, err, cfg.Dir)
-	}
-	return &res, nil
+	return &res, err
 }
 
 // result snapshots the counters under the lock (a plain copy would
 // race the event goroutines on a failed run's early return).
-func (r *chaosRun) result() NetChaosResult {
+func (r *chaosRun) result() Result {
 	r.resMu.Lock()
 	defer r.resMu.Unlock()
 	return r.res
 }
 
-func (r *chaosRun) count(f func(*NetChaosResult)) {
+func (r *chaosRun) count(f func(*Result)) {
 	r.resMu.Lock()
 	f(&r.res)
 	r.resMu.Unlock()
@@ -256,12 +196,9 @@ func (r *chaosRun) runAll() error {
 		if err := r.round(round); err != nil {
 			return err
 		}
-		r.count(func(res *NetChaosResult) { res.Rounds++ })
+		r.count(func(res *Result) { res.Rounds++ })
 	}
-	if err := r.violation(); err != nil {
-		return err
-	}
-	return nil
+	return r.violation()
 }
 
 // boot reserves stable node addresses, wires the full proxy mesh, and
@@ -300,11 +237,10 @@ func (r *chaosRun) boot() error {
 	}
 	for i := 0; i < ncNodes; i++ {
 		n := &chaosNode{
+			node:   node{path: filepath.Join(r.cfg.Dir, fmt.Sprintf("node%d.odb", i)), addr: addrs[i]},
 			run:    r,
 			idx:    i,
 			name:   fmt.Sprintf("n%d", i),
-			path:   filepath.Join(r.cfg.Dir, fmt.Sprintf("node%d.odb", i)),
-			addr:   addrs[i],
 			repErr: make(chan repDeath, 8),
 		}
 		r.nodes[i] = n
@@ -351,16 +287,12 @@ func (r *chaosRun) bootstrapTraffic() error {
 			o := ode.NewObject(r.cstock)
 			o.MustSet("name", ode.Str(fmt.Sprintf("seed-%d", i)))
 			o.MustSet("qty", ode.Int(int64(i)))
-			oid, err := tx.PNew(r.cstock, o)
-			if err != nil {
-				return err
-			}
-			_ = oid
-			return nil
+			_, err := tx.PNew(r.cstock, o)
+			return err
 		})
 		cancel()
 		if err == nil {
-			fmt.Fprintf(r.log, "bootstrap: first commit landed (primary n%d)\n", r.primaryIdx())
+			fmt.Fprintf(r.cfg.Log, "bootstrap: first commit landed (primary n%d)\n", r.primaryIdx())
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -385,7 +317,7 @@ func (r *chaosRun) primaryIdx() int {
 // demands full convergence plus every acked write intact.
 func (r *chaosRun) round(round int) error {
 	fault := r.injectFault()
-	fmt.Fprintf(r.log, "round %d: %s\n", round, fault)
+	fmt.Fprintf(r.cfg.Log, "round %d: %s\n", round, fault)
 	r.traffic(round)
 	if err := r.violation(); err != nil {
 		return fmt.Errorf("round %d: %w", round, err)
@@ -411,19 +343,19 @@ func (r *chaosRun) injectFault() string {
 	switch r.rng.Intn(8) {
 	case 0:
 		r.isolate(p)
-		r.count(func(res *NetChaosResult) { res.Partitions++ })
+		r.count(func(res *Result) { res.Partitions++ })
 		return fmt.Sprintf("isolate primary n%d", p)
 	case 1:
 		r.isolate(other)
-		r.count(func(res *NetChaosResult) { res.Partitions++ })
+		r.count(func(res *Result) { res.Partitions++ })
 		return fmt.Sprintf("isolate replica n%d", other)
 	case 2:
 		r.nodes[p].kill()
-		r.count(func(res *NetChaosResult) { res.Kills++ })
+		r.count(func(res *Result) { res.NodeKills++ })
 		return fmt.Sprintf("kill primary n%d", p)
 	case 3:
 		r.nodes[other].kill()
-		r.count(func(res *NetChaosResult) { res.Kills++ })
+		r.count(func(res *Result) { res.NodeKills++ })
 		return fmt.Sprintf("kill replica n%d", other)
 	case 4:
 		// Sever live connections on a few random links; everything
@@ -432,7 +364,7 @@ func (r *chaosRun) injectFault() string {
 		for k := 0; k < n; k++ {
 			r.randomLink().Reset()
 		}
-		r.count(func(res *NetChaosResult) { res.Resets++ })
+		r.count(func(res *Result) { res.Resets++ })
 		return fmt.Sprintf("reset %d random links", n)
 	case 5:
 		d := time.Duration(3+r.rng.Intn(18)) * time.Millisecond
@@ -440,7 +372,7 @@ func (r *chaosRun) injectFault() string {
 		for k := 0; k < n; k++ {
 			r.randomLink().SetLatency(d)
 		}
-		r.count(func(res *NetChaosResult) { res.Delays++ })
+		r.count(func(res *Result) { res.Delays++ })
 		return fmt.Sprintf("add %v latency to %d links", d, n)
 	case 6:
 		// Asymmetric drop: silence one direction of one inter-node
@@ -450,7 +382,7 @@ func (r *chaosRun) injectFault() string {
 		l := r.randomMeshLink()
 		dir := netchaos.Dir(r.rng.Intn(2))
 		l.SetStall(dir, true)
-		r.count(func(res *NetChaosResult) { res.Stalls++ })
+		r.count(func(res *Result) { res.Stalls++ })
 		return fmt.Sprintf("stall dir=%d on a mesh link", int(dir))
 	default:
 		return "no fault (control round)"
@@ -509,7 +441,7 @@ func (r *chaosRun) healAll() {
 // acked writes.
 func (r *chaosRun) traffic(round int) {
 	for op := 0; op < r.cfg.OpsPerRound; op++ {
-		r.count(func(res *NetChaosResult) { res.Ops++ })
+		r.count(func(res *Result) { res.Ops++ })
 		if r.rng.Intn(4) == 0 && len(r.acked) > 0 {
 			r.readAcked()
 		} else {
@@ -544,11 +476,11 @@ func (r *chaosRun) write(round, op int) {
 		// batch is durable on at least two nodes, and no legal election
 		// outcome may lose it.
 		r.acked = append(r.acked, ackedWrite{name: name, oid: oid})
-		r.count(func(res *NetChaosResult) { res.Acked++ })
+		r.count(func(res *Result) { res.Acked++ })
 	} else {
 		// Errored or timed out: the write is uncertain (it may have
 		// landed; an isolated primary's tail may legally be discarded).
-		r.count(func(res *NetChaosResult) { res.Uncertain++ })
+		r.count(func(res *Result) { res.Uncertain++ })
 	}
 }
 
@@ -573,7 +505,7 @@ func (r *chaosRun) readAcked() {
 		}
 		return nil
 	})
-	r.count(func(res *NetChaosResult) {
+	r.count(func(res *Result) {
 		res.Reads++
 		switch {
 		case err == nil:
@@ -584,7 +516,7 @@ func (r *chaosRun) readAcked() {
 		}
 	})
 	if err != nil && errors.Is(err, ode.ErrNoObject) {
-		fmt.Fprintf(r.log, "stale floored read: acked %q (@%d) answered absent mid-fault\n", w.name, w.oid)
+		fmt.Fprintf(r.cfg.Log, "stale floored read: acked %q (@%d) answered absent mid-fault\n", w.name, w.oid)
 	}
 }
 
@@ -628,7 +560,7 @@ func (r *chaosRun) converge(round int) error {
 		}
 		var ds [ncNodes]nodeDigest
 		for i, n := range r.nodes {
-			d, lsn, replID, err := n.digest()
+			d, lsn, replID, err := n.state()
 			if err != nil {
 				ok = false // node restarting mid-sample; retry
 				break
@@ -655,8 +587,8 @@ func (r *chaosRun) converge(round int) error {
 					round, ds[0].lsn, ds[0].digest[:12], i, ds[i].digest[:12])
 			}
 		}
-		r.count(func(res *NetChaosResult) { res.FinalEpoch = r.nodes[prim].epoch() })
-		fmt.Fprintf(r.log, "round %d: converged, primary n%d epoch %d lsn %d digest %s\n",
+		r.count(func(res *Result) { res.FinalEpoch = r.nodes[prim].epoch() })
+		fmt.Fprintf(r.cfg.Log, "round %d: converged, primary n%d epoch %d lsn %d digest %s\n",
 			round, prim, r.nodes[prim].epoch(), ds[0].lsn, ds[0].digest[:12])
 		return nil
 	}
@@ -672,9 +604,7 @@ func (r *chaosRun) verifyAcked(round int) error {
 	n := r.nodes[prim]
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()
-	n.mu.Lock()
 	db := n.db
-	n.mu.Unlock()
 	if db == nil {
 		return fmt.Errorf("round %d: primary n%d has no open store", round, prim)
 	}
@@ -777,7 +707,7 @@ func (r *chaosRun) shutdown() {
 // ---- chaosNode lifecycle -------------------------------------------
 
 func (n *chaosNode) logf(format string, args ...any) {
-	fmt.Fprintf(n.run.log, "["+n.name+"] "+format+"\n", args...)
+	fmt.Fprintf(n.run.cfg.Log, "["+n.name+"] "+format+"\n", args...)
 }
 
 // peerAddrs returns this node's proxied view of its peers, in index
@@ -795,7 +725,7 @@ func (n *chaosNode) peerAddrs() []string {
 func (n *chaosNode) snapshot() (*ode.DB, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.db, n.crashed
+	return n.live, n.crashed
 }
 
 func (n *chaosNode) epoch() uint64 {
@@ -806,75 +736,48 @@ func (n *chaosNode) epoch() uint64 {
 	return db.Epoch()
 }
 
-// digest hashes this node's state under the lifecycle lock, so a
-// concurrent restart cannot pull the store out from under the scan.
-func (n *chaosNode) digest() (string, uint64, string, error) {
+// state digests this node's store under the lifecycle lock, so a
+// concurrent restart cannot pull the store out from under the scan,
+// and reports the applied LSN and replication identity it holds at.
+func (n *chaosNode) state() (string, uint64, string, error) {
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()
-	n.mu.Lock()
-	db, stock, crashed := n.db, n.stock, n.crashed
-	n.mu.Unlock()
-	if crashed || db == nil {
+	if db, crashed := n.snapshot(); crashed || db == nil {
 		return "", 0, "", fmt.Errorf("node down")
 	}
-	lsn1 := db.AppliedLSN()
-	d, err := stateDigest(db, stock)
+	lsn1 := n.db.AppliedLSN()
+	d, err := n.digest()
 	if err != nil {
 		return "", 0, "", err
 	}
-	if lsn2 := db.AppliedLSN(); lsn2 != lsn1 {
+	if lsn2 := n.db.AppliedLSN(); lsn2 != lsn1 {
 		return "", 0, "", fmt.Errorf("applying mid-digest")
 	}
-	return d, lsn1, db.ReplicationID(), nil
+	return d, lsn1, n.db.ReplicationID(), nil
 }
 
-// openDBLocked opens (or reopens) the store with the same small-WAL
-// pressure as the repl torture mode, plus a fresh metric set on the
-// store's own registry. Caller holds lifeMu.
+// openDBLocked opens (or reopens) the store with the repl mode's
+// small-WAL pressure plus a fresh metric set on the store's own
+// registry, and publishes it to the samplers. Caller holds lifeMu.
 func (n *chaosNode) openDBLocked() error {
-	schema, stock := Schema()
-	db, err := ode.Open(n.path, schema, &ode.Options{
-		PoolPages:    48,
-		WALSoftLimit: 32 << 10,
-		WALHardLimit: 256 << 10,
-	})
-	if err != nil {
+	if err := n.open(smallWAL); err != nil {
 		return err
 	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return err
-		}
-	}
-	if !db.Manager().HasIndex(stock, "qty") {
-		if err := db.CreateIndex(stock, "qty"); err != nil {
-			db.CrashForTesting()
-			return err
-		}
-	}
 	met := &repl.Metrics{}
-	met.Attach(db.MetricsRegistry())
+	met.Attach(n.db.MetricsRegistry())
 	n.mu.Lock()
-	n.db, n.stock, n.met = db, stock, met
+	n.live, n.met = n.db, met
 	n.mu.Unlock()
 	return nil
 }
 
+// closeDBLocked hides the store from the samplers, then crashes the
+// node: server, source and store. Caller holds lifeMu.
 func (n *chaosNode) closeDBLocked() {
 	n.mu.Lock()
-	db := n.db
-	n.db = nil
+	n.live = nil
 	n.mu.Unlock()
-	if db != nil {
-		db.CrashForTesting()
-	}
-}
-
-func (n *chaosNode) wipeFiles() {
-	for _, suffix := range []string{"", ".wal", ".dw", ".rebuild"} {
-		os.Remove(n.path + suffix)
-	}
+	n.crash()
 }
 
 // trySubscribe attempts to follow addr, retrying transient failures
@@ -917,7 +820,7 @@ func (n *chaosNode) startLocked(follow string) error {
 	if err := n.openDBLocked(); err != nil {
 		return err
 	}
-	db, _ := n.snapshot()
+	db := n.db
 
 	if follow == "" {
 		best, bestEpoch := "", uint64(0)
@@ -938,14 +841,16 @@ func (n *chaosNode) startLocked(follow string) error {
 			break
 		}
 		if errors.Is(err, repl.ErrResyncRequired) || errors.Is(err, ode.ErrStaleEpoch) {
-			n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
+			n.run.count(func(res *Result) { res.Resyncs++ })
 			n.logf("resync demanded by %s; wiping", follow)
 			n.closeDBLocked()
-			n.wipeFiles()
+			if err := n.wipe(); err != nil {
+				return err
+			}
 			if err := n.openDBLocked(); err != nil {
 				return err
 			}
-			db, _ = n.snapshot()
+			db = n.db
 			continue
 		}
 		n.logf("cannot follow %s (%v); seeking", follow, err)
@@ -958,30 +863,18 @@ func (n *chaosNode) startLocked(follow string) error {
 	n.mu.Lock()
 	met := n.met
 	n.mu.Unlock()
-	src := repl.NewSource(db, met, &repl.SourceOptions{HeartbeatEvery: ncHeartbeat, Logf: n.logf})
-	srv := server.New(db, &server.Options{
-		Repl:            src,
+	n.src = repl.NewSource(db, met, &repl.SourceOptions{HeartbeatEvery: ncHeartbeat, Logf: n.logf})
+	err := n.serve(&server.Options{
+		Repl:            n.src,
 		CommitAckQuorum: 1,
 		AckTimeout:      ncAckTimeout,
 		Advertise:       n.name,
 		DrainTimeout:    50 * time.Millisecond,
 	})
-	var lnAddr fmt.Stringer
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = srv.Listen(n.addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			src.Close()
-			n.closeDBLocked()
-			return fmt.Errorf("rebind %s: %w", n.addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err != nil {
+		n.closeDBLocked()
+		return err
 	}
-	n.addr = lnAddr.String()
-	go srv.Serve(nil)
 
 	mon := repl.NewMonitor(db, met, &repl.MonitorOptions{
 		Self:        n.name,
@@ -993,7 +886,7 @@ func (n *chaosNode) startLocked(follow string) error {
 	})
 	evStop := make(chan struct{})
 	n.mu.Lock()
-	n.src, n.srv, n.rep, n.mon = src, srv, rep, mon
+	n.rep, n.mon = rep, mon
 	n.follow, n.evStop, n.crashed = follow, evStop, false
 	n.mu.Unlock()
 	if rep != nil {
@@ -1014,8 +907,8 @@ func (n *chaosNode) startLocked(follow string) error {
 func (n *chaosNode) teardownLocked() {
 	n.gen++
 	n.mu.Lock()
-	src, srv, rep, mon, evStop := n.src, n.srv, n.rep, n.mon, n.evStop
-	n.src, n.srv, n.rep, n.mon, n.evStop = nil, nil, nil, nil, nil
+	rep, mon, evStop := n.rep, n.mon, n.evStop
+	n.rep, n.mon, n.evStop = nil, nil, nil
 	n.mu.Unlock()
 	if evStop != nil {
 		close(evStop)
@@ -1026,12 +919,6 @@ func (n *chaosNode) teardownLocked() {
 	if rep != nil {
 		rep.Stop()
 	}
-	if srv != nil {
-		srv.Close()
-	}
-	if src != nil {
-		src.Close()
-	}
 	n.closeDBLocked()
 }
 
@@ -1040,7 +927,9 @@ func (n *chaosNode) teardownLocked() {
 func (n *chaosNode) restartLocked(wipe bool) error {
 	n.teardownLocked()
 	if wipe {
-		n.wipeFiles()
+		if err := n.wipe(); err != nil {
+			return err
+		}
 	}
 	return n.startLocked("")
 }
@@ -1139,8 +1028,9 @@ func (n *chaosNode) promoteSelf(gen int) bool {
 	if n.gen != gen {
 		return false
 	}
+	db := n.db
 	n.mu.Lock()
-	rep, db, met := n.rep, n.db, n.met
+	rep, met := n.rep, n.met
 	n.rep = nil
 	n.follow = ""
 	n.mu.Unlock()
@@ -1163,7 +1053,7 @@ func (n *chaosNode) promoteSelf(gen int) bool {
 		}
 		return false
 	}
-	n.run.count(func(res *NetChaosResult) { res.Promotions++ })
+	n.run.count(func(res *Result) { res.Promotions++ })
 	n.logf("promoted to epoch %d", epoch)
 	return true
 }
@@ -1180,8 +1070,9 @@ func (n *chaosNode) repoint(gen int, addr string) (bool, string) {
 	if n.gen != gen {
 		return false, ""
 	}
+	db := n.db
 	n.mu.Lock()
-	rep, db := n.rep, n.db
+	rep := n.rep
 	n.rep = nil
 	n.mu.Unlock()
 	if rep != nil {
@@ -1197,7 +1088,7 @@ func (n *chaosNode) repoint(gen int, addr string) (bool, string) {
 		return true, addr
 	}
 	if errors.Is(err, repl.ErrResyncRequired) || errors.Is(err, ode.ErrStaleEpoch) {
-		n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
+		n.run.count(func(res *Result) { res.Resyncs++ })
 		n.logf("rejoining %s demands resync; wiping", addr)
 		if rerr := n.restartLocked(true); rerr != nil {
 			n.run.failf("%s resync restart: %v", n.name, rerr)
@@ -1233,7 +1124,7 @@ func (n *chaosNode) rejoin(gen int, cause error) {
 	if n.gen != gen {
 		return
 	}
-	n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
+	n.run.count(func(res *Result) { res.Resyncs++ })
 	n.logf("stream died (%v); wiping and rejoining", cause)
 	if err := n.restartLocked(true); err != nil {
 		n.run.failf("%s rejoin: %v", n.name, err)

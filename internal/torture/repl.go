@@ -14,74 +14,31 @@ package torture
 // the replica and verifies it accepts writes.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"ode"
 	"ode/internal/failpoint"
 	"ode/internal/repl"
 	"ode/internal/server"
-	"ode/internal/wal"
 )
-
-// ReplConfig parameterizes a replication torture run.
-type ReplConfig struct {
-	// Seed drives every random decision of the run.
-	Seed int64
-	// Rounds is the number of traffic/kill/converge/verify cycles.
-	Rounds int
-	// OpsPerRound bounds the transactions attempted per round.
-	OpsPerRound int
-	// Dir holds both stores' files. It must exist; the harness never
-	// deletes it (CI uploads it as an artifact on failure).
-	Dir string
-	// Log, if non-nil, receives one progress line per round.
-	Log io.Writer
-}
-
-// ReplResult summarizes a completed replication torture run.
-type ReplResult struct {
-	Rounds         int
-	Ops            int
-	Commits        int
-	Aborts         int
-	PrimaryCrashes int
-	ReplicaCrashes int
-	Wipes          int // deliberate replica wipes (forced snapshot bootstrap)
-	Resyncs        int // resync demands from the primary (wipe + snapshot)
-	Faults         uint64
-	SitesFired     map[string]uint64
-}
 
 // replRun carries the state of one replication torture run.
 type replRun struct {
-	cfg ReplConfig
+	cfg Config
 	rng *rand.Rand
-	log io.Writer
 
-	ppath, rpath string
-	addr         string // the primary's listen address, stable across its crashes
+	primary node // served with a WAL source; its address is stable across crashes
+	replica node // never served
 
-	pdb   *ode.DB
-	src   *repl.Source
-	srv   *server.Server
-	stock *ode.Class
-
-	rdb     *ode.DB
 	rep     *repl.Replica
 	repDown bool // replica stream intentionally not running
 
 	oids []ode.OID // live objects on the primary (rebuilt from the extent after crashes)
-	res  ReplResult
+	res  Result
 }
 
 // replicaOpts keeps reconnect latency negligible against test-scale
@@ -94,69 +51,31 @@ func replicaOpts() *repl.ReplicaOptions {
 	}
 }
 
-// RunRepl executes one replication torture run; any divergence or
-// unexpected engine error is returned with the seed for reproduction.
-func RunRepl(cfg ReplConfig) (*ReplResult, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("torture: ReplConfig.Dir is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 8
-	}
-	if cfg.OpsPerRound <= 0 {
-		cfg.OpsPerRound = 30
-	}
-	logW := cfg.Log
-	if logW == nil {
-		logW = io.Discard
-	}
+// runRepl is the driver behind mode "repl".
+func runRepl(cfg Config) (*Result, error) {
 	r := &replRun{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		log:   logW,
-		ppath: filepath.Join(cfg.Dir, "primary.odb"),
-		rpath: filepath.Join(cfg.Dir, "replica.odb"),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		primary: node{path: filepath.Join(cfg.Dir, "primary.odb")},
+		replica: node{path: filepath.Join(cfg.Dir, "replica.odb")},
 	}
-	firesBefore := failpoint.FireCounts()
-	defer failpoint.DisarmAll()
-
 	err := r.runAll()
-	fires := failpoint.FireCounts()
-	r.res.SitesFired = make(map[string]uint64)
-	for site, n := range fires {
-		if d := n - firesBefore[site]; d > 0 {
-			r.res.SitesFired[site] = d
-			r.res.Faults += d
-		}
-	}
-	if err != nil {
-		return &r.res, fmt.Errorf("torture(repl): seed %d: %w (stores kept at %s)", cfg.Seed, err, cfg.Dir)
-	}
-	return &r.res, nil
+	return &r.res, err
 }
 
 func (r *replRun) runAll() error {
 	if err := r.startPrimary(); err != nil {
 		return fmt.Errorf("boot primary: %w", err)
 	}
-	defer func() {
-		if r.srv != nil {
-			r.srv.Close()
-		}
-		if r.pdb != nil {
-			r.pdb.Close()
-		}
-	}()
-	if err := r.openReplicaDB(); err != nil {
+	defer r.primary.close()
+	if err := r.replica.reopen(smallWAL); err != nil {
 		return fmt.Errorf("boot replica: %w", err)
 	}
 	defer func() {
 		if r.rep != nil {
 			r.rep.Stop()
 		}
-		if r.rdb != nil {
-			r.rdb.Close()
-		}
+		r.replica.close()
 	}()
 	if err := r.startReplica(); err != nil {
 		return fmt.Errorf("boot replica stream: %w", err)
@@ -174,24 +93,24 @@ func (r *replRun) runAll() error {
 
 	// Final act: promote the replica and verify it accepts writes over
 	// the full replicated history, at a freshly bumped fencing epoch.
-	oldEpoch := r.pdb.Epoch()
+	oldEpoch := r.primary.db.Epoch()
 	epoch, err := r.rep.Promote()
 	if err != nil {
 		return fmt.Errorf("promote replica: %w", err)
 	}
 	r.rep = nil
-	if r.rdb.ReadOnly() {
+	if r.replica.db.ReadOnly() {
 		return fmt.Errorf("promoted replica still read-only")
 	}
 	if epoch <= oldEpoch {
 		return fmt.Errorf("promotion epoch %d did not advance past the primary's %d", epoch, oldEpoch)
 	}
-	tx := r.rdb.Begin()
+	tx := r.replica.db.Begin()
 	defer tx.Abort()
-	o := ode.NewObject(r.stock)
+	o := ode.NewObject(r.replica.stock)
 	o.MustSet("name", ode.Str("post-promote"))
 	o.MustSet("qty", ode.Int(1))
-	if _, err := tx.PNew(r.stock, o); err != nil {
+	if _, err := tx.PNew(r.replica.stock, o); err != nil {
 		return fmt.Errorf("write on promoted replica: %w", err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -200,88 +119,25 @@ func (r *replRun) runAll() error {
 	return nil
 }
 
-// openNode opens one node's database with WAL bounds small enough that
-// checkpoints (and so WAL truncation, against the retention gate) run
-// constantly during the test.
-func (r *replRun) openNode(path string) (*ode.DB, *ode.Class, error) {
-	schema, stock := Schema()
-	db, err := ode.Open(path, schema, &ode.Options{
-		PoolPages:    48,
-		WALSoftLimit: 32 << 10,
-		WALHardLimit: 256 << 10,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// DDL is idempotent across retries: a fault may have crashed a
-	// previous attempt between cluster and index creation.
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	if !db.Manager().HasIndex(stock, "qty") {
-		if err := db.CreateIndex(stock, "qty"); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	return db, stock, nil
-}
-
-// openNodeRetry opens a node, retrying when the round's armed one-shot
-// fault fires inside recovery or DDL: the shot is spent as it fires,
-// so the next attempt runs clean — recovery under injected faults is
-// exactly what the crash/reopen cycle is for.
-func (r *replRun) openNodeRetry(path string) (*ode.DB, *ode.Class, error) {
-	for attempt := 0; ; attempt++ {
-		db, stock, err := r.openNode(path)
-		if err == nil {
-			return db, stock, nil
-		}
-		if !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
-			return nil, nil, err
-		}
-	}
-}
-
 // startPrimary opens (or reopens after a crash) the primary and serves
-// it, reusing the address allocated at first boot so the replica's
+// it on the address allocated at first boot, so the replica's
 // reconnect loop finds it again.
 func (r *replRun) startPrimary() error {
-	db, stock, err := r.openNodeRetry(r.ppath)
-	if err != nil {
+	p := &r.primary
+	if err := p.reopen(smallWAL); err != nil {
 		return err
 	}
-	r.pdb, r.stock = db, stock
-	r.src = repl.NewSource(db, nil, nil)
-	r.srv = server.New(db, &server.Options{Repl: r.src, DrainTimeout: 100 * time.Millisecond})
-	want := r.addr
-	if want == "" {
-		want = "127.0.0.1:0"
+	p.src = repl.NewSource(p.db, nil, nil)
+	if err := p.serve(&server.Options{Repl: p.src, DrainTimeout: 100 * time.Millisecond}); err != nil {
+		return err
 	}
-	// Rebinding the just-closed port can transiently fail; retry briefly.
-	var lnAddr fmt.Stringer
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = r.srv.Listen(want)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rebind %s: %w", want, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	r.addr = lnAddr.String()
-	go r.srv.Serve(nil)
 	return r.reloadOIDs()
 }
 
 // reloadOIDs rebuilds the traffic target list from the primary's
 // extent — the durable truth after a crash resolves uncertain commits.
 func (r *replRun) reloadOIDs() error {
-	oids, err := r.pdb.Manager().ClusterOIDs(r.stock)
+	oids, err := r.primary.db.Manager().ClusterOIDs(r.primary.stock)
 	if err != nil {
 		return err
 	}
@@ -292,20 +148,9 @@ func (r *replRun) reloadOIDs() error {
 // crashPrimary kills the primary mid-flight and brings it back from
 // disk: server down, source detached, dirty state dropped, recovery.
 func (r *replRun) crashPrimary() error {
-	r.srv.Close()
-	r.src.Close()
-	r.pdb.CrashForTesting()
+	r.primary.crash()
 	r.res.PrimaryCrashes++
 	return r.startPrimary()
-}
-
-func (r *replRun) openReplicaDB() error {
-	db, _, err := r.openNodeRetry(r.rpath)
-	if err != nil {
-		return err
-	}
-	r.rdb = db
-	return nil
 }
 
 // startReplica begins (or resumes) following the primary. A dial
@@ -314,7 +159,7 @@ func (r *replRun) openReplicaDB() error {
 // recovery ode-server -resync performs.
 func (r *replRun) startReplica() error {
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		rep := repl.NewReplica(r.rdb, r.addr, nil, replicaOpts())
+		rep := repl.NewReplica(r.replica.db, r.primary.addr, nil, replicaOpts())
 		err := rep.Start()
 		if err == nil {
 			r.rep, r.repDown = rep, false
@@ -322,7 +167,7 @@ func (r *replRun) startReplica() error {
 		}
 		if errors.Is(err, repl.ErrResyncRequired) {
 			r.res.Resyncs++
-			fmt.Fprintf(r.log, "resync demanded; wiping replica\n")
+			fmt.Fprintf(r.cfg.Log, "resync demanded; wiping replica\n")
 			if err := r.wipeReplica(); err != nil {
 				return err
 			}
@@ -337,15 +182,11 @@ func (r *replRun) startReplica() error {
 
 // wipeReplica discards the replica's store entirely; the next
 // subscribe offers a snapshot bootstrap (only an empty database may).
-// The files are about to be deleted, so the store is dropped crash-
-// style — a clean Close would checkpoint through any still-armed
-// failpoint for nothing.
 func (r *replRun) wipeReplica() error {
-	r.rdb.CrashForTesting()
-	for _, suffix := range []string{"", ".wal", ".dw", ".rebuild"} {
-		os.Remove(r.rpath + suffix)
+	if err := r.replica.wipe(); err != nil {
+		return err
 	}
-	return r.openReplicaDB()
+	return r.replica.reopen(smallWAL)
 }
 
 // crashReplica kills the replica and recovers its store from disk, but
@@ -358,14 +199,14 @@ func (r *replRun) crashReplica() error {
 		r.rep.Stop()
 		r.rep = nil
 	}
-	r.rdb.CrashForTesting()
+	r.replica.crash()
 	r.res.ReplicaCrashes++
-	if err := r.openReplicaDB(); err != nil {
+	if err := r.replica.reopen(smallWAL); err != nil {
 		return fmt.Errorf("replica recovery: %w", err)
 	}
 	if r.rng.Intn(4) == 0 {
-		r.rdb.CrashForTesting()
-		if err := r.openReplicaDB(); err != nil {
+		r.replica.crash()
+		if err := r.replica.reopen(smallWAL); err != nil {
 			return fmt.Errorf("replica idempotent re-recovery: %w", err)
 		}
 	}
@@ -387,7 +228,7 @@ func (r *replRun) replicaDied() error {
 		r.rep.Stop()
 		r.rep = nil
 		r.res.Resyncs++
-		fmt.Fprintf(r.log, "resync demanded mid-stream; wiping replica\n")
+		fmt.Fprintf(r.cfg.Log, "resync demanded mid-stream; wiping replica\n")
 		if err := r.wipeReplica(); err != nil {
 			return err
 		}
@@ -417,21 +258,15 @@ func (r *replRun) seed() error {
 // a random op index inside the traffic so the rejoining node has a
 // real gap to catch up across.
 func (r *replRun) round(round int) error {
-	wf := workloadFaults[r.rng.Intn(len(workloadFaults))]
-	spec := failpoint.Spec{
-		Action:  wf.actions[r.rng.Intn(len(wf.actions))],
-		AfterN:  uint64(r.rng.Intn(40)),
-		Seed:    r.rng.Int63(),
-		OneShot: true,
-	}
-	if err := failpoint.Arm(wf.site, spec); err != nil {
+	site, spec := drawWorkloadFault(r.rng, 40)
+	if err := failpoint.Arm(site, spec); err != nil {
 		return err
 	}
 	// kill: 0 primary, 1 replica, 2 replica wipe (snapshot bootstrap),
 	// 3+ none (the armed fault may still crash a node on its own).
 	kill := r.rng.Intn(6)
 	killAt := r.rng.Intn(r.cfg.OpsPerRound)
-	fmt.Fprintf(r.log, "round %d: arm %s %v kill=%d at op %d\n", round, wf.site, spec, kill, killAt)
+	fmt.Fprintf(r.cfg.Log, "round %d: arm %s %v kill=%d at op %d\n", round, site, spec, kill, killAt)
 
 	for op := 0; op < r.cfg.OpsPerRound; op++ {
 		r.res.Ops++
@@ -470,7 +305,7 @@ func (r *replRun) round(round int) error {
 		var err error
 		switch {
 		case r.rng.Intn(10) == 0:
-			err = r.pdb.Checkpoint()
+			err = r.primary.db.Checkpoint()
 		case r.rng.Intn(8) == 0:
 			err = r.replicaProbe()
 		default:
@@ -503,21 +338,22 @@ func (r *replRun) round(round int) error {
 	}
 
 	// Verify: identical identity and byte-level state.
-	if pid, rid := r.pdb.ReplicationID(), r.rdb.ReplicationID(); pid != rid {
+	pdb, rdb := r.primary.db, r.replica.db
+	if pid, rid := pdb.ReplicationID(), rdb.ReplicationID(); pid != rid {
 		return fmt.Errorf("replication id diverged: primary %q, replica %q", pid, rid)
 	}
-	pd, err := r.digest(r.pdb)
+	pd, err := r.primary.digest()
 	if err != nil {
 		return fmt.Errorf("primary digest: %w", err)
 	}
-	rd, err := r.digest(r.rdb)
+	rd, err := r.replica.digest()
 	if err != nil {
 		return fmt.Errorf("replica digest: %w", err)
 	}
 	if pd != rd {
-		return fmt.Errorf("state diverged at LSN %d: primary %s, replica %s", r.pdb.LSN(), pd, rd)
+		return fmt.Errorf("state diverged at LSN %d: primary %s, replica %s", pdb.LSN(), pd, rd)
 	}
-	fmt.Fprintf(r.log, "round %d: converged at LSN %d digest %s\n", round, r.pdb.LSN(), pd[:12])
+	fmt.Fprintf(r.cfg.Log, "round %d: converged at LSN %d digest %s\n", round, pdb.LSN(), pd[:12])
 	return nil
 }
 
@@ -525,10 +361,10 @@ func (r *replRun) round(round int) error {
 // last committed batch, recovering the replica through any fatal
 // stream exit (resync demands, late fault damage) on the way.
 func (r *replRun) waitConverged() error {
-	target := r.pdb.AppliedLSN()
+	target := r.primary.db.AppliedLSN()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if r.rdb.AppliedLSN() >= target {
+		if r.replica.db.AppliedLSN() >= target {
 			return nil
 		}
 		if r.rep == nil || r.repDown {
@@ -544,7 +380,7 @@ func (r *replRun) waitConverged() error {
 		case <-time.After(time.Millisecond):
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("replica stuck at LSN %d, primary at %d", r.rdb.AppliedLSN(), target)
+			return fmt.Errorf("replica stuck at LSN %d, primary at %d", r.replica.db.AppliedLSN(), target)
 		}
 	}
 }
@@ -553,8 +389,9 @@ func (r *replRun) waitConverged() error {
 // Targets come from the best-effort oid list; one that turns out dead
 // (an uncertain commit resolved the other way) is dropped and skipped.
 func (r *replRun) transaction() error {
-	tx := r.pdb.Begin()
+	tx := r.primary.db.Begin()
 	defer tx.Abort()
+	stock := r.primary.stock
 	var created []ode.OID
 	var deleted []ode.OID
 	nops := 1 + r.rng.Intn(3)
@@ -563,11 +400,11 @@ func (r *replRun) transaction() error {
 		var err error
 		switch k := r.rng.Intn(10); {
 		case k <= 2 || oid == ode.NilOID:
-			o := ode.NewObject(r.stock)
+			o := ode.NewObject(stock)
 			o.MustSet("name", ode.Str(fmt.Sprintf("item-%d", r.rng.Intn(1_000_000))))
 			o.MustSet("qty", ode.Int(int64(r.rng.Intn(1000))))
 			var newOID ode.OID
-			if newOID, err = tx.PNew(r.stock, o); err == nil {
+			if newOID, err = tx.PNew(stock, o); err == nil {
 				created = append(created, newOID)
 			}
 		case k == 3 && len(r.oids) > 10:
@@ -633,11 +470,11 @@ func (r *replRun) replicaProbe() error {
 	if r.repDown || r.rep == nil {
 		return nil
 	}
-	tx := r.rdb.Begin()
-	o := ode.NewObject(r.stock)
+	tx := r.replica.db.Begin()
+	o := ode.NewObject(r.replica.stock)
 	o.MustSet("name", ode.Str("probe"))
 	o.MustSet("qty", ode.Int(1))
-	_, err := tx.PNew(r.stock, o)
+	_, err := tx.PNew(r.replica.stock, o)
 	tx.Abort()
 	if !errors.Is(err, ode.ErrReadOnly) {
 		return fmt.Errorf("replica write = %v, want ode.ErrReadOnly", err)
@@ -646,7 +483,7 @@ func (r *replRun) replicaProbe() error {
 	if oid == ode.NilOID {
 		return nil
 	}
-	err = r.rdb.View(func(tx *ode.Tx) error {
+	err = r.replica.db.View(func(tx *ode.Tx) error {
 		_, derr := tx.Deref(oid)
 		return derr
 	})
@@ -660,35 +497,4 @@ func (r *replRun) replicaProbe() error {
 	default:
 		return fmt.Errorf("replica read @%d: %w", oid, err)
 	}
-}
-
-// digest hashes one node's full replicated state; see stateDigest.
-func (r *replRun) digest(db *ode.DB) (string, error) {
-	return stateDigest(db, r.stock)
-}
-
-// stateDigest hashes one node's full replicated state: every snapshot
-// op (current images and frozen versions, the exact bytes a resync
-// would ship) plus the secondary index extent. Lines are sorted so the
-// hash is order-independent. Both replication torture modes use it as
-// their byte-level convergence check.
-func stateDigest(db *ode.DB, stock *ode.Class) (string, error) {
-	var lines []string
-	err := db.Manager().SnapshotOps(func(op *wal.Op) error {
-		lines = append(lines, fmt.Sprintf("op %d @%d v%d c%d %x", op.Type, op.OID, op.Version, op.ClassID, op.Image))
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	idx, err := db.Manager().IndexOIDs(stock, "qty", ode.Null, ode.Null)
-	if err != nil {
-		return "", err
-	}
-	for _, oid := range idx {
-		lines = append(lines, fmt.Sprintf("idx @%d", oid))
-	}
-	sort.Strings(lines)
-	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return hex.EncodeToString(h[:]), nil
 }

@@ -16,11 +16,10 @@ package torture
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"ode"
@@ -32,52 +31,12 @@ import (
 // shardN is the group width; routing is oid % shardN.
 const shardN = 3
 
-// ShardConfig parameterizes a sharding torture run.
-type ShardConfig struct {
-	// Seed drives every random decision of the run.
-	Seed int64
-	// Rounds is the number of traffic/kill/resolve/verify cycles.
-	Rounds int
-	// OpsPerRound bounds the router transactions attempted per round.
-	OpsPerRound int
-	// Dir holds the shard stores' files; it must exist and is never
-	// deleted (CI uploads it as an artifact on failure).
-	Dir string
-	// Log, if non-nil, receives one progress line per round.
-	Log io.Writer
-}
-
-// ShardResult summarizes a completed sharding torture run.
-type ShardResult struct {
-	Rounds     int
-	Ops        int // router transactions attempted
-	Acked      int // commits acknowledged to the "application"
-	Uncertain  int // failures with an unknown outcome (in-doubt, transport)
-	CrossAcked int // acked commits that spanned shards (took 2PC)
-	Staged     int // hand-staged kill-window transactions
-	CoordKills int // shards killed while coordinating
-	PartKills  int // shards killed while a mere participant
-	Resolved   int // in-doubt transactions settled by ResolveInDoubt
-	Faults     uint64
-	SitesFired map[string]uint64
-}
-
-// shardNode is one shard's server-side state.
-type shardNode struct {
-	path  string
-	addr  string // stable across crashes: the router redials it
-	db    *ode.DB
-	srv   *server.Server
-	stock *ode.Class // this node's schema instance
-}
-
 // shardRun carries the state of one sharding torture run.
 type shardRun struct {
-	cfg ShardConfig
+	cfg Config
 	rng *rand.Rand
-	log io.Writer
 
-	nodes  [shardN]*shardNode
+	nodes  [shardN]node // addresses stable across crashes: the router redials them
 	router *client.Sharded
 	stock  *ode.Class // the router clients' schema instance
 
@@ -85,56 +44,27 @@ type shardRun struct {
 	all        map[int64]int // marker id -> participant count (every attempt)
 	acked      map[int64]int // marker id -> participant count (acked only)
 
-	res ShardResult
+	res Result
 }
 
-// RunShard executes one sharding torture run; any atomicity violation
-// or unexpected engine error is returned with the seed for
-// reproduction.
-func RunShard(cfg ShardConfig) (*ShardResult, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("torture: ShardConfig.Dir is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 6
-	}
-	if cfg.OpsPerRound <= 0 {
-		cfg.OpsPerRound = 20
-	}
-	logW := cfg.Log
-	if logW == nil {
-		logW = io.Discard
-	}
+// runShard is the driver behind mode "shard".
+func runShard(cfg Config) (*Result, error) {
 	r := &shardRun{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		log:   logW,
 		all:   make(map[int64]int),
 		acked: make(map[int64]int),
 	}
 	for i := range r.nodes {
-		r.nodes[i] = &shardNode{path: filepath.Join(cfg.Dir, fmt.Sprintf("shard%d.odb", i))}
+		r.nodes[i].path = filepath.Join(cfg.Dir, fmt.Sprintf("shard%d.odb", i))
 	}
-	firesBefore := failpoint.FireCounts()
-	defer failpoint.DisarmAll()
-
 	err := r.runAll()
-	fires := failpoint.FireCounts()
-	r.res.SitesFired = make(map[string]uint64)
-	for site, n := range fires {
-		if d := n - firesBefore[site]; d > 0 {
-			r.res.SitesFired[site] = d
-			r.res.Faults += d
-		}
-	}
-	if err != nil {
-		return &r.res, fmt.Errorf("torture(shard): seed %d: %w (stores kept at %s)", cfg.Seed, err, cfg.Dir)
-	}
-	return &r.res, nil
+	return &r.res, err
 }
 
 func (r *shardRun) runAll() error {
 	for i := range r.nodes {
+		defer r.nodes[i].close()
 		if err := r.startShard(i); err != nil {
 			return fmt.Errorf("boot shard %d: %w", i, err)
 		}
@@ -162,10 +92,11 @@ func (r *shardRun) runAll() error {
 	return nil
 }
 
-// openShardDB opens one shard's store with its shard coordinates.
-func (r *shardRun) openShardDB(i int) (*ode.DB, *ode.Class, error) {
-	schema, stock := Schema()
-	db, err := ode.Open(r.nodes[i].path, schema, &ode.Options{
+// startShard opens (or reopens after a crash) one shard with its shard
+// coordinates and serves it on its stable address.
+func (r *shardRun) startShard(i int) error {
+	n := &r.nodes[i]
+	err := n.reopen(&ode.Options{
 		PoolPages:  48,
 		ShardCount: shardN,
 		ShardSlot:  i,
@@ -174,62 +105,15 @@ func (r *shardRun) openShardDB(i int) (*ode.DB, *ode.Class, error) {
 		PrepareTimeout: 30 * time.Second,
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	return db, stock, nil
-}
-
-// startShard opens (or reopens after a crash) one shard and serves it
-// on its stable address. An armed one-shot fault may fire inside
-// recovery; the shot is spent as it fires, so the retry runs clean.
-func (r *shardRun) startShard(i int) error {
-	node := r.nodes[i]
-	var db *ode.DB
-	var stock *ode.Class
-	var err error
-	for attempt := 0; ; attempt++ {
-		db, stock, err = r.openShardDB(i)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
-			return err
-		}
-	}
-	node.db, node.stock = db, stock
-	node.srv = server.New(db, &server.Options{DrainTimeout: 100 * time.Millisecond})
-	want := node.addr
-	if want == "" {
-		want = "127.0.0.1:0"
-	}
-	var lnAddr fmt.Stringer
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = node.srv.Listen(want)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rebind %s: %w", want, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	node.addr = lnAddr.String()
-	go node.srv.Serve(nil)
-	return nil
+	return n.serve(&server.Options{DrainTimeout: 100 * time.Millisecond})
 }
 
 // crashShard kills one shard process-style and brings it back from
 // disk.
 func (r *shardRun) crashShard(i int) error {
-	node := r.nodes[i]
-	node.srv.Close()
-	node.db.CrashForTesting()
+	r.nodes[i].crash()
 	return r.startShard(i)
 }
 
@@ -270,7 +154,7 @@ func (r *shardRun) round(round int) error {
 		return err
 	}
 	r.res.Rounds++
-	fmt.Fprintf(r.log, "round %d: ops=%d acked=%d uncertain=%d crossacked=%d kills=%d/%d resolved=%d\n",
+	fmt.Fprintf(r.cfg.Log, "round %d: ops=%d acked=%d uncertain=%d crossacked=%d kills=%d/%d resolved=%d\n",
 		round, r.res.Ops, r.res.Acked, r.res.Uncertain, r.res.CrossAcked,
 		r.res.CoordKills, r.res.PartKills, r.res.Resolved)
 	return nil
@@ -314,12 +198,8 @@ func (r *shardRun) stagedKillOp(ctx context.Context) error {
 	k := 2 + r.rng.Intn(shardN-1) // 2..shardN participants
 	perm := r.rng.Perm(shardN)[:k]
 	parts := append([]int(nil), perm...)
-	for i := 1; i < len(parts); i++ { // insertion sort; coordinator = lowest
-		for j := i; j > 0 && parts[j] < parts[j-1]; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
-	coord := parts[0]
+	sort.Ints(parts)
+	coord := parts[0] // the lowest participant coordinates
 	gid := fmt.Sprintf("s%d-tort-%d", coord, id)
 	r.res.Staged++
 
@@ -429,7 +309,7 @@ func (r *shardRun) resolveAll(ctx context.Context) error {
 func (r *shardRun) verifyMarkers() error {
 	counts := make(map[int64]int)
 	for i := range r.nodes {
-		node := r.nodes[i]
+		node := &r.nodes[i]
 		oids, err := node.db.Manager().ClusterOIDs(node.stock)
 		if err != nil {
 			return fmt.Errorf("shard %d extent: %w", i, err)

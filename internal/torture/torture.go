@@ -47,53 +47,134 @@ import (
 type Config struct {
 	// Seed drives every random decision of the run.
 	Seed int64
-	// Rounds is the number of crash/recover/verify cycles.
+	// Rounds is the number of crash/recover/verify cycles (0: the mode's
+	// default).
 	Rounds int
-	// OpsPerRound bounds the transactions attempted before a round
-	// crashes even if its armed fault never fired.
+	// OpsPerRound bounds the operations attempted per round (0: the
+	// mode's default).
 	OpsPerRound int
-	// Dir is the directory holding the store's files. It must exist;
+	// Dir is the directory holding the stores' files. It must exist;
 	// the harness never deletes it (CI uploads it as an artifact on
 	// failure).
 	Dir string
-	// Cancel turns on resource-governance traffic: the store opens with
-	// admission control (MaxConcurrentTx, no wait queue) and WAL growth
-	// bounds, and rounds mix in deadline-bound transactions, pre-canceled
-	// transactions, lock-wait timeouts against a sleeping holder, and
-	// admission-overload read bursts — composed with the usual armed
-	// failpoints. The invariant under test: a transaction killed by its
-	// context or rejected at admission is a clean abort, so the model
-	// advances only on commits and every recovery still verifies.
-	Cancel bool
-	// Compact turns on online-compaction traffic: rounds mix delete-heavy
-	// churn bursts (which leave the heap full of sparse pages) with
-	// DB.Compact passes, and the armed fault can land on the compaction
-	// failpoints (storage.compact_move, storage.compact_free) so the
-	// process dies mid-pass with records half-relocated. Compaction is
-	// state-neutral — records move, their contents do not — so the model
-	// is untouched by a pass whether it completes or crashes, and every
-	// recovery must verify extents, indexes, and per-object state as
-	// usual. Compact-mode recoveries additionally check the heap chain's
-	// space accounting (no duplicate or out-of-range pages).
-	Compact bool
-	// Log, if non-nil, receives one progress line per round.
+	// Log, if non-nil, receives progress lines.
 	Log io.Writer
+	// Mode selects the deployment shape and traffic under test: "" is
+	// one embedded store under armed I/O failpoints; "cancel" adds
+	// governance traffic against an admission-controlled, WAL-bounded
+	// store (deadlines, cancellation, lock-wait timeouts, overload
+	// bursts; a killed or rejected transaction must be a clean abort);
+	// "compact" adds delete-heavy churn and online DB.Compact passes
+	// with faults armed mid-pass (recovery also checks the heap chain's
+	// space accounting); "repl", "netchaos" and "shard" run the drivers
+	// in repl.go, netchaos.go and shard.go.
+	Mode string
 }
 
-// Result summarizes a completed run.
+// modes maps each Config.Mode to its driver and default round shape.
+var modes = map[string]struct {
+	rounds, ops int
+	run         func(Config) (*Result, error)
+}{
+	"":         {8, 25, runSingle},
+	"cancel":   {8, 25, runSingle},
+	"compact":  {8, 25, runSingle},
+	"repl":     {8, 30, runRepl},
+	"netchaos": {8, 20, runNetChaos},
+	"shard":    {6, 20, runShard},
+}
+
+// Result summarizes a completed run. Each mode fills the counters of
+// its group; the others stay zero.
 type Result struct {
-	Rounds      int
-	Ops         int
-	Commits     int
-	Aborts      int
-	Faults      uint64 // injected faults that actually fired
-	Recoveries  int    // recovery opens (incl. idempotence re-crashes)
-	Resurrected int    // errored commits that recovery resolved as committed
-	Kills       int    // transactions killed by deadline/cancellation (clean aborts)
-	Overloads   int    // admission rejections (ErrOverloaded)
-	Compactions int    // DB.Compact passes that completed
-	Reclaimed   int    // heap pages compaction returned to the free list
-	SitesFired  map[string]uint64
+	Rounds     int
+	Ops        int
+	Faults     uint64 // injected faults that actually fired
+	SitesFired map[string]uint64
+
+	// Single-node modes and repl.
+	Commits int
+	Aborts  int
+
+	// Single-node modes.
+	Recoveries  int // recovery opens (incl. idempotence re-crashes)
+	Resurrected int // errored commits that recovery resolved as committed
+	TxKills     int // transactions killed by deadline/cancellation (clean aborts)
+	Overloads   int // admission rejections (ErrOverloaded)
+	Compactions int // DB.Compact passes that completed
+	Reclaimed   int // heap pages compaction returned to the free list
+
+	// repl.
+	PrimaryCrashes int
+	ReplicaCrashes int
+	Wipes          int // deliberate replica wipes (forced snapshot bootstrap)
+
+	// repl and netchaos.
+	Resyncs int // wipe-and-rebootstrap cycles (resync demands, self-healing)
+
+	// netchaos and shard.
+	Acked     int // commits acknowledged to the client (verified never lost)
+	Uncertain int // failures with an unknown outcome (may or may not have landed)
+
+	// netchaos.
+	Reads      int
+	ReadFails  int // reads lost to transport noise mid-fault (never to absence)
+	StaleReads int // floored reads answered "no object" mid-fault (see readAcked)
+	Promotions int
+	Partitions int
+	NodeKills  int
+	Resets     int
+	Stalls     int
+	Delays     int
+	FinalEpoch uint64
+
+	// shard.
+	CrossAcked int // acked commits that spanned shards (took 2PC)
+	Staged     int // hand-staged kill-window transactions
+	CoordKills int // shards killed while coordinating
+	PartKills  int // shards killed while a mere participant
+	Resolved   int // in-doubt transactions settled by ResolveInDoubt
+}
+
+// Run executes one torture run in cfg.Mode and returns its summary; any
+// invariant violation (or unexpected engine error) is returned as an
+// error that names the seed for reproduction.
+func Run(cfg Config) (*Result, error) {
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("torture: Config.Dir is required")
+	}
+	m, ok := modes[cfg.Mode]
+	if !ok {
+		return nil, fmt.Errorf("torture: unknown mode %q", cfg.Mode)
+	}
+	if cfg.Rounds <= 0 {
+		cfg.Rounds = m.rounds
+	}
+	if cfg.OpsPerRound <= 0 {
+		cfg.OpsPerRound = m.ops
+	}
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
+	firesBefore := failpoint.FireCounts()
+	defer failpoint.DisarmAll()
+
+	res, err := m.run(cfg)
+	res.SitesFired = make(map[string]uint64)
+	for site, n := range failpoint.FireCounts() {
+		if d := n - firesBefore[site]; d > 0 {
+			res.SitesFired[site] = d
+			res.Faults += d
+		}
+	}
+	if err != nil {
+		name := "torture"
+		if cfg.Mode != "" {
+			name += "(" + cfg.Mode + ")"
+		}
+		return res, fmt.Errorf("%s: seed %d: %w (stores kept at %s)", name, cfg.Seed, err, cfg.Dir)
+	}
+	return res, nil
 }
 
 // snap is the model's view of one object.
@@ -144,17 +225,17 @@ type pending struct {
 	after  map[ode.OID]*snap
 }
 
-// run carries the state of one torture run.
+// run carries the state of one single-node torture run.
 type run struct {
-	cfg   Config
-	rng   *rand.Rand
-	log   io.Writer
-	path  string
-	db    *ode.DB
-	stock *ode.Class
-	model map[ode.OID]*snap
-	dead  []ode.OID // recently deleted oids (ErrNoObject checks)
-	res   Result
+	node
+	cfg     Config
+	cancel  bool // Mode "cancel"
+	compact bool // Mode "compact"
+	opts    *ode.Options
+	rng     *rand.Rand
+	model   map[ode.OID]*snap
+	dead    []ode.OID // recently deleted oids (ErrNoObject checks)
+	res     Result
 }
 
 // workloadFaults are the sites armed during traffic rounds, with the
@@ -174,6 +255,19 @@ var workloadFaults = []struct {
 	{"wal.truncate", []failpoint.Action{failpoint.ActError}},
 	{"txn.commit_wal", []failpoint.Action{failpoint.ActError}},
 	{"txn.commit_apply", []failpoint.Action{failpoint.ActError}},
+}
+
+// drawWorkloadFault picks a workload site and a one-shot spec for it
+// that fires at one of its first maxAfter traversals; the one-shot
+// disarms the site as it fires.
+func drawWorkloadFault(rng *rand.Rand, maxAfter int) (string, failpoint.Spec) {
+	wf := workloadFaults[rng.Intn(len(workloadFaults))]
+	return wf.site, failpoint.Spec{
+		Action:  wf.actions[rng.Intn(len(wf.actions))],
+		AfterN:  uint64(rng.Intn(maxAfter)),
+		Seed:    rng.Int63(),
+		OneShot: true,
+	}
 }
 
 // recoveryFaults are the sites armed while reopening after a crash.
@@ -211,46 +305,31 @@ func Schema() (*ode.Schema, *ode.Class) {
 	return schema, stock
 }
 
-// Run executes one torture run and returns its summary; any invariant
-// violation (or unexpected engine error) is returned as an error that
-// names the seed and round for reproduction.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("torture: Config.Dir is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 8
-	}
-	if cfg.OpsPerRound <= 0 {
-		cfg.OpsPerRound = 25
-	}
-	logW := cfg.Log
-	if logW == nil {
-		logW = io.Discard
-	}
+// runSingle is the single-node driver behind modes "", "cancel" and
+// "compact".
+func runSingle(cfg Config) (*Result, error) {
 	r := &run{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		log:   logW,
-		path:  filepath.Join(cfg.Dir, "torture.odb"),
-		model: make(map[ode.OID]*snap),
+		node:    node{path: filepath.Join(cfg.Dir, "torture.odb")},
+		cfg:     cfg,
+		cancel:  cfg.Mode == "cancel",
+		compact: cfg.Mode == "compact",
+		opts:    &ode.Options{PoolPages: 48},
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		model:   make(map[ode.OID]*snap),
 	}
-	firesBefore := failpoint.FireCounts()
-	defer failpoint.DisarmAll()
-
+	if r.cancel {
+		// Tight governance: few admission slots with no wait queue (so
+		// overload bursts reject), and WAL bounds small enough that the
+		// background checkpointer and commit backpressure run constantly
+		// under the armed failpoints.
+		r.opts.MaxConcurrentTx = 3
+		r.opts.MaxQueuedTx = -1
+		r.opts.WALSoftLimit = 8 << 10
+		r.opts.WALHardLimit = 32 << 10
+		r.opts.CloseTimeout = 2 * time.Second
+	}
 	err := r.runAll()
-	fires := failpoint.FireCounts()
-	r.res.SitesFired = make(map[string]uint64)
-	for site, n := range fires {
-		if d := n - firesBefore[site]; d > 0 {
-			r.res.SitesFired[site] = d
-			r.res.Faults += d
-		}
-	}
-	if err != nil {
-		return &r.res, fmt.Errorf("torture: seed %d: %w (store kept at %s)", cfg.Seed, err, cfg.Dir)
-	}
-	return &r.res, nil
+	return &r.res, err
 }
 
 func (r *run) runAll() error {
@@ -265,10 +344,10 @@ func (r *run) runAll() error {
 	}
 	// Clean shutdown, clean reopen, final verify.
 	failpoint.DisarmAll()
-	if err := r.db.Close(); err != nil {
+	if err := r.close(); err != nil {
 		return fmt.Errorf("final close: %w", err)
 	}
-	if err := r.open(); err != nil {
+	if err := r.open(r.opts); err != nil {
 		return fmt.Errorf("final reopen: %w", err)
 	}
 	if err := r.verify(); err != nil {
@@ -277,7 +356,7 @@ func (r *run) runAll() error {
 	// Compact mode: one clean pass over everything the run's crashed
 	// passes left behind (leaked free pages, stale duplicate records)
 	// must succeed and leave the store verifiable.
-	if r.cfg.Compact {
+	if r.compact {
 		if err := r.compactPass(); err != nil {
 			return fmt.Errorf("final compact: %w", err)
 		}
@@ -285,42 +364,14 @@ func (r *run) runAll() error {
 			return fmt.Errorf("verify after final compact: %w", err)
 		}
 	}
-	return r.db.Close()
+	return r.close()
 }
 
-func (r *run) open() error {
-	schema, stock := Schema()
-	opts := &ode.Options{PoolPages: 48}
-	if r.cfg.Cancel {
-		// Tight governance: few admission slots with no wait queue (so
-		// overload bursts reject), and WAL bounds small enough that the
-		// background checkpointer and commit backpressure run constantly
-		// under the armed failpoints.
-		opts.MaxConcurrentTx = 3
-		opts.MaxQueuedTx = -1
-		opts.WALSoftLimit = 8 << 10
-		opts.WALHardLimit = 32 << 10
-		opts.CloseTimeout = 2 * time.Second
-	}
-	db, err := ode.Open(r.path, schema, opts)
-	if err != nil {
-		return err
-	}
-	r.db, r.stock = db, stock
-	return nil
-}
-
-// setup creates the store, its DDL, and a seed population, then
+// setup creates the store with its DDL and a seed population, then
 // checkpoints so every round starts from a durable base.
 func (r *run) setup() error {
-	if err := r.open(); err != nil {
+	if err := r.open(r.opts); err != nil {
 		return fmt.Errorf("setup open: %w", err)
-	}
-	if err := r.db.CreateCluster(r.stock); err != nil {
-		return fmt.Errorf("setup cluster: %w", err)
-	}
-	if err := r.db.CreateIndex(r.stock, "qty"); err != nil {
-		return fmt.Errorf("setup index: %w", err)
 	}
 	for i := 0; i < 40; i++ {
 		p := r.plan(1)
@@ -338,29 +389,22 @@ func (r *run) setup() error {
 
 // round runs one arm/traffic/crash/recover/verify cycle.
 func (r *run) round(round int) error {
-	// Arm one workload fault. The one-shot spec disarms the site as it
-	// fires; AfterN may exceed the traffic so some rounds crash with no
-	// fault at all (a plain kill).
-	wf := workloadFaults[r.rng.Intn(len(workloadFaults))]
-	spec := failpoint.Spec{
-		Action:  wf.actions[r.rng.Intn(len(wf.actions))],
-		AfterN:  uint64(r.rng.Intn(30)),
-		Seed:    r.rng.Int63(),
-		OneShot: true,
-	}
+	// Arm one workload fault. AfterN may exceed the traffic so some
+	// rounds crash with no fault at all (a plain kill).
+	site, spec := drawWorkloadFault(r.rng, 30)
 	// Compact mode draws extra randomness only behind the mode check, so
 	// plain-mode runs keep their historical sequences and old seeds stay
 	// reproducible. Compaction sites fire early (few records move per
 	// pass) and only support injected errors.
-	if r.cfg.Compact && r.rng.Intn(2) == 0 {
-		wf.site = compactFaults[r.rng.Intn(len(compactFaults))]
+	if r.compact && r.rng.Intn(2) == 0 {
+		site = compactFaults[r.rng.Intn(len(compactFaults))]
 		spec.Action = failpoint.ActError
 		spec.AfterN = uint64(r.rng.Intn(4))
 	}
-	if err := failpoint.Arm(wf.site, spec); err != nil {
+	if err := failpoint.Arm(site, spec); err != nil {
 		return err
 	}
-	fmt.Fprintf(r.log, "round %d: arm %s %v\n", round, wf.site, spec)
+	fmt.Fprintf(r.cfg.Log, "round %d: arm %s %v\n", round, site, spec)
 
 	var uncertain []*pending
 	injected := false
@@ -376,15 +420,15 @@ func (r *run) round(round int) error {
 			err = r.db.Checkpoint()
 		case r.rng.Intn(10) == 0:
 			err = r.deliberateAbort()
-		case r.cfg.Cancel && r.rng.Intn(4) == 0:
+		case r.cancel && r.rng.Intn(4) == 0:
 			p, err = r.governedTransaction()
-		case r.cfg.Cancel && r.rng.Intn(6) == 0:
+		case r.cancel && r.rng.Intn(6) == 0:
 			err = r.lockTimeoutPair()
-		case r.cfg.Cancel && r.rng.Intn(6) == 0:
+		case r.cancel && r.rng.Intn(6) == 0:
 			err = r.overloadBurst()
-		case r.cfg.Compact && r.rng.Intn(5) == 0:
+		case r.compact && r.rng.Intn(5) == 0:
 			err = r.compactPass()
-		case r.cfg.Compact && r.rng.Intn(3) == 0:
+		case r.compact && r.rng.Intn(3) == 0:
 			p, err = r.churnBurst()
 		default:
 			p, err = r.transaction()
@@ -406,7 +450,7 @@ func (r *run) round(round int) error {
 	failpoint.DisarmAll()
 
 	// Crash: drop all dirty in-memory state, keep only what disk holds.
-	r.db.CrashForTesting()
+	r.crash()
 
 	// Sometimes fail the recovery itself partway, then recover for real.
 	if r.rng.Intn(4) == 0 {
@@ -416,21 +460,21 @@ func (r *run) round(round int) error {
 			AfterN:  uint64(r.rng.Intn(8)),
 			OneShot: true,
 		})
-		err := r.open()
+		err := r.open(r.opts)
 		failpoint.DisarmAll()
 		if err == nil {
 			r.res.Recoveries++
 			// Open survived (the one-shot may not have fired, or fired
 			// on a tolerated path); crash again so the real recovery
 			// below starts from disk.
-			r.db.CrashForTesting()
+			r.crash()
 		} else if !errors.Is(err, failpoint.ErrInjected) {
 			return fmt.Errorf("recovery-phase fault: unexpected error: %w", err)
 		}
-		fmt.Fprintf(r.log, "round %d: recovery fault at %s (open err: %v)\n", round, site, err)
+		fmt.Fprintf(r.cfg.Log, "round %d: recovery fault at %s (open err: %v)\n", round, site, err)
 	}
 
-	if err := r.open(); err != nil {
+	if err := r.open(r.opts); err != nil {
 		return fmt.Errorf("recovery open: %w", err)
 	}
 	r.res.Recoveries++
@@ -445,8 +489,8 @@ func (r *run) round(round int) error {
 	// Idempotence: sometimes crash again immediately (recovery wrote
 	// nothing the engine cannot re-derive) and verify the reopen too.
 	if r.rng.Intn(4) == 0 {
-		r.db.CrashForTesting()
-		if err := r.open(); err != nil {
+		r.crash()
+		if err := r.open(r.opts); err != nil {
 			return fmt.Errorf("idempotence reopen: %w", err)
 		}
 		r.res.Recoveries++
@@ -487,7 +531,7 @@ func (r *run) pickLive(p *pending) ode.OID {
 
 func (r *run) planNew(p *pending) {
 	name := fmt.Sprintf("item-%d", r.rng.Intn(1_000_000))
-	if r.cfg.Compact {
+	if r.compact {
 		// Pad records so the heap spans many pages and delete bursts
 		// leave genuinely sparse ones (the pad is outside the rng, so
 		// other modes' draw sequences are untouched).
@@ -623,7 +667,7 @@ func (r *run) governedTransaction() (*pending, error) {
 		return nil, nil
 	case errors.Is(err, ode.ErrCanceled) || errors.Is(err, ode.ErrTxTimeout) || errors.Is(err, ode.ErrOverloaded):
 		// Governance kill: clean abort, nothing durable, model untouched.
-		r.res.Kills++
+		r.res.TxKills++
 		return nil, nil
 	default:
 		return p, err // injected faults resolve via the uncertain path
@@ -655,7 +699,7 @@ func (r *run) lockTimeoutPair() error {
 	defer victim.Abort()
 	switch _, verr := victim.Deref(oid); {
 	case errors.Is(verr, ode.ErrTxTimeout):
-		r.res.Kills++
+		r.res.TxKills++
 		return nil
 	case verr == nil:
 		return fmt.Errorf("lock-wait victim read @%d through the holder's X lock", oid)
@@ -696,7 +740,7 @@ func (r *run) overloadBurst() error {
 		case errors.Is(err, ode.ErrOverloaded):
 			r.res.Overloads++
 		case errors.Is(err, ode.ErrTxTimeout) || errors.Is(err, ode.ErrCanceled):
-			r.res.Kills++
+			r.res.TxKills++
 		default:
 			if firstErr == nil {
 				firstErr = err // injected faults end the round; reads are state-neutral
@@ -983,7 +1027,7 @@ func (r *run) verify() error {
 	// Compact mode: the heap chain's space accounting must be sound — a
 	// page freed mid-crash may leak (harmless; a later pass reclaims it)
 	// but must never appear twice in the chain or point past the file.
-	if r.cfg.Compact {
+	if r.compact {
 		pages, err := r.db.Manager().HeapPages()
 		if err != nil {
 			return fmt.Errorf("heap chain walk: %w", err)

@@ -55,17 +55,17 @@ func TestTortureCancelFixedSeeds(t *testing.T) {
 				Rounds:      6,
 				OpsPerRound: 25,
 				Dir:         t.TempDir(),
-				Cancel:      true,
+				Mode:        "cancel",
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("seed %d: rounds=%d ops=%d commits=%d aborts=%d kills=%d overloads=%d faults=%d recoveries=%d resurrected=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.Kills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
+				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.TxKills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
 			if res.Commits == 0 {
 				t.Error("run committed nothing; workload is broken")
 			}
-			if res.Kills == 0 {
+			if res.TxKills == 0 {
 				t.Error("no transaction was killed by deadline/cancellation; cancel traffic is broken")
 			}
 		})
@@ -87,7 +87,7 @@ func TestTortureCompactFixedSeeds(t *testing.T) {
 				Rounds:      6,
 				OpsPerRound: 25,
 				Dir:         t.TempDir(),
-				Compact:     true,
+				Mode:        "compact",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -112,11 +112,12 @@ func TestTortureReplFixedSeeds(t *testing.T) {
 	for _, seed := range []int64{5, 13} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunRepl(ReplConfig{
+			res, err := Run(Config{
 				Seed:        seed,
 				Rounds:      6,
 				OpsPerRound: 25,
 				Dir:         t.TempDir(),
+				Mode:        "repl",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -143,19 +144,20 @@ func TestTortureNetChaosFixedSeeds(t *testing.T) {
 	for _, seed := range []int64{17, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunNetChaos(NetChaosConfig{
+			res, err := Run(Config{
 				Seed:        seed,
 				Rounds:      5,
 				OpsPerRound: 18,
 				Dir:         t.TempDir(),
 				Log:         testWriter{t},
+				Mode:        "netchaos",
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("seed %d: rounds=%d ops=%d acked=%d uncertain=%d reads=%d readfails=%d stale=%d promotions=%d resyncs=%d parts=%d kills=%d resets=%d stalls=%d delays=%d epoch=%d",
 				seed, res.Rounds, res.Ops, res.Acked, res.Uncertain, res.Reads, res.ReadFails, res.StaleReads,
-				res.Promotions, res.Resyncs, res.Partitions, res.Kills, res.Resets, res.Stalls, res.Delays, res.FinalEpoch)
+				res.Promotions, res.Resyncs, res.Partitions, res.NodeKills, res.Resets, res.Stalls, res.Delays, res.FinalEpoch)
 			if res.Acked == 0 {
 				t.Error("no write was ever acknowledged; traffic is broken")
 			}
@@ -178,12 +180,13 @@ func TestTortureShardFixedSeeds(t *testing.T) {
 	for _, seed := range []int64{19, 23} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunShard(ShardConfig{
+			res, err := Run(Config{
 				Seed:        seed,
 				Rounds:      5,
 				OpsPerRound: 15,
 				Dir:         t.TempDir(),
 				Log:         testWriter{t},
+				Mode:        "shard",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -204,21 +207,25 @@ func TestTortureShardFixedSeeds(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownMode: a mistyped mode is an error, never a
+// silent run of some other harness.
+func TestRunRejectsUnknownMode(t *testing.T) {
+	if _, err := Run(Config{Mode: "bogus", Dir: t.TempDir()}); err == nil {
+		t.Fatal(`Run(Mode: "bogus") = nil error, want unknown mode`)
+	}
+}
+
 // TestTortureCI is the environment-driven entry point used by the CI
 // torture matrix. TORTURE_SEED is a number, or the string RANDOM for a
 // time-derived seed that is logged so a failure can be reproduced:
 //
 //	TORTURE_SEED=12345 go test -run TestTortureCI -v ./internal/torture
 //
-// TORTURE_ROUNDS, TORTURE_OPS, and TORTURE_DIR tune the run;
-// TORTURE_MODE=cancel turns on the resource-governance traffic
-// (Config.Cancel), TORTURE_MODE=compact the online-compaction traffic
-// (Config.Compact), TORTURE_MODE=repl runs the replication torture
-// (RunRepl), TORTURE_MODE=netchaos the network-chaos failover torture
-// (RunNetChaos), and TORTURE_MODE=shard the cross-shard 2PC torture
-// (RunShard) instead of the single-node harness. With
-// TORTURE_DIR set, the store files survive the test for artifact
-// upload on failure.
+// TORTURE_ROUNDS, TORTURE_OPS, and TORTURE_DIR tune the run, and
+// TORTURE_MODE is Config.Mode: "" (single node), cancel, compact, repl,
+// netchaos or shard. A malformed number or an unknown mode fails the
+// test. With TORTURE_DIR set, the store files survive the test for
+// artifact upload on failure.
 func TestTortureCI(t *testing.T) {
 	seedEnv := os.Getenv("TORTURE_SEED")
 	if seedEnv == "" {
@@ -234,66 +241,28 @@ func TestTortureCI(t *testing.T) {
 			t.Fatalf("bad TORTURE_SEED %q: %v", seedEnv, err)
 		}
 	}
-	cfg := Config{Seed: seed, Dir: os.Getenv("TORTURE_DIR"), Log: testWriter{t}}
+	cfg := Config{Seed: seed, Dir: os.Getenv("TORTURE_DIR"), Log: testWriter{t}, Mode: os.Getenv("TORTURE_MODE")}
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	} else if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if v := os.Getenv("TORTURE_ROUNDS"); v != "" {
-		cfg.Rounds, _ = strconv.Atoi(v)
+	for env, field := range map[string]*int{"TORTURE_ROUNDS": &cfg.Rounds, "TORTURE_OPS": &cfg.OpsPerRound} {
+		if v := os.Getenv(env); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad %s %q: %v", env, v, err)
+			}
+			*field = n
+		}
 	}
-	if v := os.Getenv("TORTURE_OPS"); v != "" {
-		cfg.OpsPerRound, _ = strconv.Atoi(v)
-	}
-	cfg.Cancel = strings.EqualFold(os.Getenv("TORTURE_MODE"), "cancel")
-	cfg.Compact = strings.EqualFold(os.Getenv("TORTURE_MODE"), "compact")
 	t.Logf("torture seed %d mode=%s (reproduce: TORTURE_SEED=%d TORTURE_MODE=%s go test -run TestTortureCI -v ./internal/torture)",
-		seed, os.Getenv("TORTURE_MODE"), seed, os.Getenv("TORTURE_MODE"))
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "netchaos") {
-		res, err := RunNetChaos(NetChaosConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=netchaos): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d acked=%d uncertain=%d reads=%d readfails=%d stale=%d promotions=%d resyncs=%d parts=%d kills=%d resets=%d stalls=%d delays=%d epoch=%d",
-			res.Rounds, res.Ops, res.Acked, res.Uncertain, res.Reads, res.ReadFails, res.StaleReads,
-			res.Promotions, res.Resyncs, res.Partitions, res.Kills, res.Resets, res.Stalls, res.Delays, res.FinalEpoch)
-		return
-	}
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "shard") {
-		res, err := RunShard(ShardConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=shard): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d acked=%d uncertain=%d crossacked=%d staged=%d ckills=%d pkills=%d resolved=%d faults=%d fired=%v",
-			res.Rounds, res.Ops, res.Acked, res.Uncertain, res.CrossAcked, res.Staged,
-			res.CoordKills, res.PartKills, res.Resolved, res.Faults, res.SitesFired)
-		return
-	}
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "repl") {
-		res, err := RunRepl(ReplConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=repl): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d commits=%d aborts=%d pkills=%d rkills=%d wipes=%d resyncs=%d faults=%d fired=%v",
-			res.Rounds, res.Ops, res.Commits, res.Aborts, res.PrimaryCrashes, res.ReplicaCrashes, res.Wipes, res.Resyncs, res.Faults, res.SitesFired)
-		return
-	}
+		seed, cfg.Mode, seed, cfg.Mode)
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=%s): %v", seed, os.Getenv("TORTURE_MODE"), err)
+		t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=%s): %v", seed, cfg.Mode, err)
 	}
-	t.Logf("rounds=%d ops=%d commits=%d aborts=%d kills=%d overloads=%d faults=%d recoveries=%d resurrected=%d fired=%v",
-		res.Rounds, res.Ops, res.Commits, res.Aborts, res.Kills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
+	t.Logf("result: %+v", *res)
 }
 
 type testWriter struct{ t *testing.T }

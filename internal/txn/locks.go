@@ -168,8 +168,12 @@ func (lm *LockManager) grant(txid uint64, oid core.OID, ls *lockState, mode Lock
 	// A new S holder would starve a pending upgrade: the upgrader needs
 	// every other holder gone, and readers that keep arriving (and then
 	// lose the upgrade race as deadlock victims) would never let that
-	// happen. So new readers queue behind it.
-	if ls.exclusive() || ls.upgrading > 0 || (mode == Exclusive && ls.holders() > 0) {
+	// happen. So new readers queue behind it — but only while they hold
+	// no lock. A transaction holding nothing can never be waited on, so
+	// queueing it adds no cycle; a reader that already holds locks may
+	// be what some upgrader elsewhere is waiting for.
+	queue := ls.upgrading > 0 && len(lm.held[txid]) == 0
+	if ls.exclusive() || queue || (mode == Exclusive && ls.holders() > 0) {
 		return false
 	}
 	ls.add(txid, mode)

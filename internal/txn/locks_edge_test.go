@@ -238,6 +238,57 @@ func TestPendingUpgradeQueuesNewReaders(t *testing.T) {
 	}
 }
 
+// A reader that already holds locks is granted past a pending upgrade:
+// queueing it could close a cycle. R1/W1 share a, R2/W2 share b, and
+// both writers wait to upgrade. If R1's S(b) queued behind W2 and R2's
+// S(a) behind W1, then R1 -> W2 -> R2 -> W1 -> R1 would deadlock two
+// read-only transactions. Both are granted; once the readers finish,
+// both upgrades complete.
+func TestHoldingReaderPassesPendingUpgrade(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	const a, b = core.OID(1), core.OID(2)
+	const w1, w2, r1, r2 = 1, 2, 10, 11
+	for _, g := range []struct {
+		tx  uint64
+		oid core.OID
+	}{{r1, a}, {w1, a}, {r2, b}, {w2, b}} {
+		if err := lm.Acquire(bg, g.tx, g.oid, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upgrades := make(chan error, 2)
+	go func() { upgrades <- lm.Acquire(bg, w1, a, Exclusive) }()
+	go func() { upgrades <- lm.Acquire(bg, w2, b, Exclusive) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(a) == 1 && lm.Waiting(b) == 1 })
+
+	reads := make(chan error, 2)
+	go func() { reads <- lm.Acquire(bg, r1, b, Shared) }()
+	go func() { reads <- lm.Acquire(bg, r2, a, Shared) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-reads:
+			if err != nil {
+				t.Fatalf("reader holding a lock = %v, want granted", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("reader holding a lock queued behind a pending upgrade")
+		}
+	}
+	lm.ReleaseAll(r1)
+	lm.ReleaseAll(r2)
+	for i := 0; i < 2; i++ {
+		if err := <-upgrades; err != nil {
+			t.Fatalf("upgrade after readers left = %v, want nil", err)
+		}
+	}
+	lm.ReleaseAll(w1)
+	lm.ReleaseAll(w2)
+	if n := lm.TableSize(); n != 0 {
+		t.Fatalf("lock table holds %d entries, want 0", n)
+	}
+}
+
 // --- Governor ----------------------------------------------------------
 
 func TestGovernorSlotsQueueReject(t *testing.T) {

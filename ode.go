@@ -214,6 +214,23 @@ type DB struct {
 	compactMu sync.Mutex // serializes Compact passes (see compact.go)
 }
 
+// storeSuffixes names every file a store at path consists of: the data
+// file, the WAL and its truncation temporary, the double-write buffer,
+// and the Rebuild temporary.
+var storeSuffixes = []string{"", ".wal", ".wal.tmp", ".dw", ".rebuild"}
+
+// RemoveFiles deletes every file of the store at path, which must not
+// be open. Files that do not exist are skipped; any other removal error
+// is returned.
+func RemoveFiles(path string) error {
+	for _, suffix := range storeSuffixes {
+		if err := os.Remove(path + suffix); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
 // Open opens (creating if missing) the database at path against the
 // registered schema. The schema must be registered identically (same
 // classes, same order) on every open of the same file; the catalog

@@ -3,6 +3,7 @@ package ode
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -108,6 +109,50 @@ func TestOpenCreateReopen(t *testing.T) {
 	}
 	if !db2.HasCluster(stock2) {
 		t.Error("cluster lost")
+	}
+}
+
+// TestRemoveFiles wipes a store that was written, closed and left with
+// crash temporaries beside it: no file of it may remain, and a reopen
+// starts from an empty store.
+func TestRemoveFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.odb")
+	if err := RemoveFiles(path); err != nil {
+		t.Fatalf("RemoveFiles on a missing store = %v, want nil", err)
+	}
+	schema, stock := inventorySchema()
+	db, err := Open(path, schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateCluster(stock); err != nil {
+		t.Fatal(err)
+	}
+	addItem(t, db, stock, "dram", 7500, 0.05)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Temporaries a crash mid-truncate or mid-rebuild leaves behind.
+	for _, tmp := range []string{path + ".wal.tmp", path + ".rebuild"} {
+		if err := os.WriteFile(tmp, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := RemoveFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Fatalf("files left after RemoveFiles: %v", left)
+	}
+	schema2, stock2 := inventorySchema()
+	db2, err := Open(path, schema2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if db2.HasCluster(stock2) {
+		t.Fatal("reopened store still has the removed store's cluster")
 	}
 }
 

@@ -3,6 +3,7 @@ package ode
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -119,8 +120,16 @@ func (w *diffWorld) writers(t *testing.T, seed int64, stop chan struct{}) *sync.
 		var oid OID
 		err := w.db.RunTx(func(tx *Tx) error {
 			var err error
-			oid, err = tx.PNew(w.obj(rng, 1_000_000+rng.Intn(1000)))
-			return err
+			if oid, err = tx.PNew(w.obj(rng, 1_000_000+rng.Intn(1000))); err != nil {
+				return err
+			}
+			// Mark the object before its commit can make it visible: the
+			// commit sequence is only known after RunTx returns, and a
+			// scan overlapping the commit may or may not reach it.
+			w.mu.Lock()
+			w.insertedAt[oid] = math.MaxInt64
+			w.mu.Unlock()
+			return nil
 		})
 		if err == nil {
 			w.mu.Lock()
@@ -344,7 +353,7 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 		switch {
 		case mode == modeStop && n == limit:
 			return false, nil
-		case mode == modeSnapshot && n == 1 && ahead != NilOID &&
+		case mode == modeSnapshot && n == 1 && ahead != NilOID && it.OID != ahead &&
 			(slices.Contains(ws0, it.OID) || (it.Obj.Class() == c && it.OID < ahead)):
 			o, err := tx.Deref(ahead)
 			if errors.Is(err, ErrNoObject) {
