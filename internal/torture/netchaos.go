@@ -760,7 +760,7 @@ func (n *chaosNode) state() (string, uint64, string, error) {
 // small-WAL pressure plus a fresh metric set on the store's own
 // registry, and publishes it to the samplers. Caller holds lifeMu.
 func (n *chaosNode) openDBLocked() error {
-	if err := n.open(smallWAL); err != nil {
+	if _, err := n.open(smallWAL); err != nil {
 		return err
 	}
 	met := &repl.Metrics{}
@@ -771,9 +771,12 @@ func (n *chaosNode) openDBLocked() error {
 	return nil
 }
 
-// closeDBLocked hides the store from the samplers, then crashes the
-// node: server, source and store. Caller holds lifeMu.
+// closeDBLocked stops serving, then hides the store from the samplers
+// and crashes it. The server drains first so the samplers keep seeing a
+// store that may still be committing in-flight writes. Caller holds
+// lifeMu.
 func (n *chaosNode) closeDBLocked() {
+	n.stopServing()
 	n.mu.Lock()
 	n.live = nil
 	n.mu.Unlock()

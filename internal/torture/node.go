@@ -43,26 +43,27 @@ var smallWAL = &ode.Options{
 // the stockitem cluster and its qty index. The DDL is idempotent
 // because a fault may have crashed an earlier attempt between the two;
 // a DDL error crash-closes the store so no half-open handle leaks.
-func (n *node) open(opts *ode.Options) error {
+// created reports whether either had to be made, so a caller that
+// expects an existing store can tell a recovery that lost the DDL from
+// one that kept it.
+func (n *node) open(opts *ode.Options) (created bool, err error) {
 	schema, stock := Schema()
 	db, err := ode.Open(n.path, schema, opts)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return err
-		}
+		created, err = true, db.CreateCluster(stock)
 	}
-	if !db.Manager().HasIndex(stock, "qty") {
-		if err := db.CreateIndex(stock, "qty"); err != nil {
-			db.CrashForTesting()
-			return err
-		}
+	if err == nil && !db.Manager().HasIndex(stock, "qty") {
+		created, err = true, db.CreateIndex(stock, "qty")
+	}
+	if err != nil {
+		db.CrashForTesting()
+		return created, err
 	}
 	n.db, n.stock = db, stock
-	return nil
+	return created, nil
 }
 
 // reopen is open retried while the round's armed one-shot fault fires
@@ -71,7 +72,7 @@ func (n *node) open(opts *ode.Options) error {
 // the crash/reopen cycle is for.
 func (n *node) reopen(opts *ode.Options) error {
 	for attempt := 0; ; attempt++ {
-		err := n.open(opts)
+		_, err := n.open(opts)
 		if err == nil || !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
 			return err
 		}
@@ -101,35 +102,37 @@ func (n *node) serve(opts *server.Options) error {
 	}
 }
 
+// stopServing takes the server down (draining in-flight requests) and
+// detaches the WAL source, leaving the store open.
+func (n *node) stopServing() {
+	if n.srv != nil {
+		n.srv.Close()
+	}
+	if n.src != nil {
+		n.src.Close()
+	}
+	n.srv, n.src = nil, nil
+}
+
 // crash kills the node process-style: server down, source detached,
 // and every dirty in-memory state dropped, so only what disk holds
 // survives into the next open.
 func (n *node) crash() {
-	if n.srv != nil {
-		n.srv.Close()
-	}
-	if n.src != nil {
-		n.src.Close()
-	}
+	n.stopServing()
 	if n.db != nil {
 		n.db.CrashForTesting()
 	}
-	n.srv, n.src, n.db = nil, nil, nil
+	n.db = nil
 }
 
 // close shuts the node down cleanly (the end of a run).
 func (n *node) close() error {
-	if n.srv != nil {
-		n.srv.Close()
-	}
-	if n.src != nil {
-		n.src.Close()
-	}
+	n.stopServing()
 	var err error
 	if n.db != nil {
 		err = n.db.Close()
 	}
-	n.srv, n.src, n.db = nil, nil, nil
+	n.db = nil
 	return err
 }
 

@@ -180,9 +180,15 @@ func (r *replRun) startReplica() error {
 	}
 }
 
-// wipeReplica discards the replica's store entirely; the next
-// subscribe offers a snapshot bootstrap (only an empty database may).
+// wipeReplica stops the replica's stream and discards its store
+// entirely; the next subscribe offers a snapshot bootstrap (only an
+// empty database may).
 func (r *replRun) wipeReplica() error {
+	if r.rep != nil {
+		r.rep.Stop()
+		r.rep = nil
+	}
+	r.repDown = true
 	if err := r.replica.wipe(); err != nil {
 		return err
 	}
@@ -225,15 +231,9 @@ func (r *replRun) replicaDied() error {
 		// without an error, and the harness is the only caller.
 		return fmt.Errorf("replica stream exited with no error")
 	case errors.Is(err, repl.ErrResyncRequired):
-		r.rep.Stop()
-		r.rep = nil
 		r.res.Resyncs++
 		fmt.Fprintf(r.cfg.Log, "resync demanded mid-stream; wiping replica\n")
-		if err := r.wipeReplica(); err != nil {
-			return err
-		}
-		r.repDown = true
-		return nil
+		return r.wipeReplica()
 	case errors.Is(err, failpoint.ErrInjected):
 		// The armed fault fired inside the replica's apply path: its
 		// store is suspect, exactly like an errored local commit.
@@ -291,15 +291,10 @@ func (r *replRun) round(round int) error {
 					return err
 				}
 			case 2:
-				if r.rep != nil {
-					r.rep.Stop()
-					r.rep = nil
-				}
 				r.res.Wipes++
 				if err := r.wipeReplica(); err != nil {
 					return err
 				}
-				r.repDown = true
 			}
 		}
 		var err error

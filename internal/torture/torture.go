@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -203,18 +204,8 @@ func (s *snap) equal(o *snap) bool {
 	if !s.live {
 		return true
 	}
-	if s.name != o.name || s.qty != o.qty || s.cur != o.cur || s.acts != o.acts {
-		return false
-	}
-	if len(s.frozen) != len(o.frozen) {
-		return false
-	}
-	for v, q := range s.frozen {
-		if oq, ok := o.frozen[v]; !ok || oq != q {
-			return false
-		}
-	}
-	return true
+	return s.name == o.name && s.qty == o.qty && s.cur == o.cur && s.acts == o.acts &&
+		maps.Equal(s.frozen, o.frozen)
 }
 
 // pending records one transaction's planned effect, kept until the
@@ -228,14 +219,12 @@ type pending struct {
 // run carries the state of one single-node torture run.
 type run struct {
 	node
-	cfg     Config
-	cancel  bool // Mode "cancel"
-	compact bool // Mode "compact"
-	opts    *ode.Options
-	rng     *rand.Rand
-	model   map[ode.OID]*snap
-	dead    []ode.OID // recently deleted oids (ErrNoObject checks)
-	res     Result
+	cfg   Config
+	opts  *ode.Options
+	rng   *rand.Rand
+	model map[ode.OID]*snap
+	dead  []ode.OID // recently deleted oids (ErrNoObject checks)
+	res   Result
 }
 
 // workloadFaults are the sites armed during traffic rounds, with the
@@ -309,15 +298,13 @@ func Schema() (*ode.Schema, *ode.Class) {
 // "compact".
 func runSingle(cfg Config) (*Result, error) {
 	r := &run{
-		node:    node{path: filepath.Join(cfg.Dir, "torture.odb")},
-		cfg:     cfg,
-		cancel:  cfg.Mode == "cancel",
-		compact: cfg.Mode == "compact",
-		opts:    &ode.Options{PoolPages: 48},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		model:   make(map[ode.OID]*snap),
+		node:  node{path: filepath.Join(cfg.Dir, "torture.odb")},
+		cfg:   cfg,
+		opts:  &ode.Options{PoolPages: 48},
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		model: make(map[ode.OID]*snap),
 	}
-	if r.cancel {
+	if cfg.Mode == "cancel" {
 		// Tight governance: few admission slots with no wait queue (so
 		// overload bursts reject), and WAL bounds small enough that the
 		// background checkpointer and commit backpressure run constantly
@@ -347,7 +334,7 @@ func (r *run) runAll() error {
 	if err := r.close(); err != nil {
 		return fmt.Errorf("final close: %w", err)
 	}
-	if err := r.open(r.opts); err != nil {
+	if err := r.openExisting(); err != nil {
 		return fmt.Errorf("final reopen: %w", err)
 	}
 	if err := r.verify(); err != nil {
@@ -356,7 +343,7 @@ func (r *run) runAll() error {
 	// Compact mode: one clean pass over everything the run's crashed
 	// passes left behind (leaked free pages, stale duplicate records)
 	// must succeed and leave the store verifiable.
-	if r.compact {
+	if r.cfg.Mode == "compact" {
 		if err := r.compactPass(); err != nil {
 			return fmt.Errorf("final compact: %w", err)
 		}
@@ -370,7 +357,7 @@ func (r *run) runAll() error {
 // setup creates the store with its DDL and a seed population, then
 // checkpoints so every round starts from a durable base.
 func (r *run) setup() error {
-	if err := r.open(r.opts); err != nil {
+	if _, err := r.open(r.opts); err != nil {
 		return fmt.Errorf("setup open: %w", err)
 	}
 	for i := 0; i < 40; i++ {
@@ -387,6 +374,21 @@ func (r *run) setup() error {
 	return nil
 }
 
+// errLostDDL fails an open after setup that had to redo setup's DDL.
+var errLostDDL = errors.New("recovery lost the stockitem cluster or qty index")
+
+// openExisting opens the store after setup, without retry. Setup made
+// the cluster and index durable, so an open that has to create either
+// means recovery lost them; that is reported, not quietly rebuilt.
+func (r *run) openExisting() error {
+	created, err := r.open(r.opts)
+	if err == nil && created {
+		r.crash()
+		err = errLostDDL
+	}
+	return err
+}
+
 // round runs one arm/traffic/crash/recover/verify cycle.
 func (r *run) round(round int) error {
 	// Arm one workload fault. AfterN may exceed the traffic so some
@@ -396,7 +398,7 @@ func (r *run) round(round int) error {
 	// plain-mode runs keep their historical sequences and old seeds stay
 	// reproducible. Compaction sites fire early (few records move per
 	// pass) and only support injected errors.
-	if r.compact && r.rng.Intn(2) == 0 {
+	if r.cfg.Mode == "compact" && r.rng.Intn(2) == 0 {
 		site = compactFaults[r.rng.Intn(len(compactFaults))]
 		spec.Action = failpoint.ActError
 		spec.AfterN = uint64(r.rng.Intn(4))
@@ -420,15 +422,15 @@ func (r *run) round(round int) error {
 			err = r.db.Checkpoint()
 		case r.rng.Intn(10) == 0:
 			err = r.deliberateAbort()
-		case r.cancel && r.rng.Intn(4) == 0:
+		case r.cfg.Mode == "cancel" && r.rng.Intn(4) == 0:
 			p, err = r.governedTransaction()
-		case r.cancel && r.rng.Intn(6) == 0:
+		case r.cfg.Mode == "cancel" && r.rng.Intn(6) == 0:
 			err = r.lockTimeoutPair()
-		case r.cancel && r.rng.Intn(6) == 0:
+		case r.cfg.Mode == "cancel" && r.rng.Intn(6) == 0:
 			err = r.overloadBurst()
-		case r.compact && r.rng.Intn(5) == 0:
+		case r.cfg.Mode == "compact" && r.rng.Intn(5) == 0:
 			err = r.compactPass()
-		case r.compact && r.rng.Intn(3) == 0:
+		case r.cfg.Mode == "compact" && r.rng.Intn(3) == 0:
 			p, err = r.churnBurst()
 		default:
 			p, err = r.transaction()
@@ -460,7 +462,7 @@ func (r *run) round(round int) error {
 			AfterN:  uint64(r.rng.Intn(8)),
 			OneShot: true,
 		})
-		err := r.open(r.opts)
+		err := r.openExisting()
 		failpoint.DisarmAll()
 		if err == nil {
 			r.res.Recoveries++
@@ -474,7 +476,7 @@ func (r *run) round(round int) error {
 		fmt.Fprintf(r.cfg.Log, "round %d: recovery fault at %s (open err: %v)\n", round, site, err)
 	}
 
-	if err := r.open(r.opts); err != nil {
+	if err := r.openExisting(); err != nil {
 		return fmt.Errorf("recovery open: %w", err)
 	}
 	r.res.Recoveries++
@@ -490,7 +492,7 @@ func (r *run) round(round int) error {
 	// nothing the engine cannot re-derive) and verify the reopen too.
 	if r.rng.Intn(4) == 0 {
 		r.crash()
-		if err := r.open(r.opts); err != nil {
+		if err := r.openExisting(); err != nil {
 			return fmt.Errorf("idempotence reopen: %w", err)
 		}
 		r.res.Recoveries++
@@ -531,7 +533,7 @@ func (r *run) pickLive(p *pending) ode.OID {
 
 func (r *run) planNew(p *pending) {
 	name := fmt.Sprintf("item-%d", r.rng.Intn(1_000_000))
-	if r.compact {
+	if r.cfg.Mode == "compact" {
 		// Pad records so the heap spans many pages and delete bursts
 		// leave genuinely sparse ones (the pad is outside the rng, so
 		// other modes' draw sequences are untouched).
@@ -1027,7 +1029,7 @@ func (r *run) verify() error {
 	// Compact mode: the heap chain's space accounting must be sound — a
 	// page freed mid-crash may leak (harmless; a later pass reclaims it)
 	// but must never appear twice in the chain or point past the file.
-	if r.compact {
+	if r.cfg.Mode == "compact" {
 		pages, err := r.db.Manager().HeapPages()
 		if err != nil {
 			return fmt.Errorf("heap chain walk: %w", err)

@@ -215,6 +215,59 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 	}
 }
 
+// TestOpenExistingRejectsLostDDL: after setup, an open that finds the
+// stockitem cluster or its qty index missing is an error, not a quiet
+// rebuild by open's idempotent DDL.
+func TestOpenExistingRejectsLostDDL(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cluster bool
+		index   bool
+	}{
+		{"no-cluster", false, false},
+		{"no-index", true, false},
+		{"intact", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &run{node: node{path: t.TempDir() + "/t.odb"}, opts: &ode.Options{PoolPages: 48}}
+			schema, stock := Schema()
+			db, err := ode.Open(r.path, schema, r.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cluster {
+				if err := db.CreateCluster(stock); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.index {
+				if err := db.CreateIndex(stock, "qty"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = r.openExisting()
+			if tc.index {
+				if err != nil {
+					t.Fatalf("openExisting on an intact store: %v", err)
+				}
+				if err := r.close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if !errors.Is(err, errLostDDL) {
+				t.Fatalf("openExisting = %v, want errLostDDL", err)
+			}
+			if r.db != nil {
+				t.Fatal("openExisting left the store open after reporting lost DDL")
+			}
+		})
+	}
+}
+
 // TestTortureCI is the environment-driven entry point used by the CI
 // torture matrix. TORTURE_SEED is a number, or the string RANDOM for a
 // time-derived seed that is logged so a failure can be reproduced:
