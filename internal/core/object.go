@@ -18,14 +18,23 @@ type Object struct {
 // NewObject allocates an instance of class c with zero-valued slots.
 // It panics if c is not sealed (unsealed classes have no layout).
 func NewObject(c *Class) *Object {
+	o := new(Object)
+	InitObject(o, c, make([]Value, c.NumSlots()))
+	return o
+}
+
+// InitObject makes *o a zero-valued instance of class c whose slots
+// live in slots, which must hold exactly c.NumSlots() values and belong
+// to no other object (decoders carve many objects out of one block this
+// way). It panics if c is not sealed.
+func InitObject(o *Object, c *Class, slots []Value) {
 	if !c.sealed {
 		panic(fmt.Sprintf("core: NewObject on unsealed class %s", c.Name))
 	}
-	o := &Object{class: c, slots: make([]Value, c.NumSlots())}
+	*o = Object{class: c, slots: slots}
 	for i, f := range c.layout {
 		o.slots[i] = f.Type.Zero()
 	}
-	return o
 }
 
 // Class returns the object's dynamic class.

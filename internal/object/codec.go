@@ -98,37 +98,125 @@ func appendValue(buf []byte, v core.Value) []byte {
 // Decode reconstructs an object from its serialized state against the
 // schema. The class is resolved by the recorded class id.
 func Decode(schema *core.Schema, data []byte) (*core.Object, error) {
+	r, err := NewSlotReader(schema, data)
+	if err != nil {
+		return nil, err
+	}
+	o := core.NewObject(r.Class)
+	if err := r.decodeInto(o); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// BlockDecoder is Decode for the many objects of a scan: it carves the
+// objects and their slots out of shared blocks of blockObjects, so two
+// allocations serve a block instead of two per object (a string value
+// still takes its own). A block stays reachable while any object carved
+// from it does. The zero BlockDecoder is ready to use; it is not safe
+// for concurrent use.
+type BlockDecoder struct {
+	objs []core.Object
+	vals []core.Value
+}
+
+// blockObjects is how many objects one BlockDecoder block holds.
+const blockObjects = 64
+
+// Decode is Decode, from the decoder's blocks.
+func (d *BlockDecoder) Decode(schema *core.Schema, data []byte) (*core.Object, error) {
+	r, err := NewSlotReader(schema, data)
+	if err != nil {
+		return nil, err
+	}
+	n := r.Class.NumSlots()
+	if len(d.objs) == 0 {
+		d.objs = make([]core.Object, blockObjects)
+	}
+	if len(d.vals) < n {
+		d.vals = make([]core.Value, n*blockObjects)
+	}
+	o := &d.objs[0]
+	core.InitObject(o, r.Class, d.vals[:n:n])
+	d.objs, d.vals = d.objs[1:], d.vals[n:]
+	if err := r.decodeInto(o); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// SlotReader reads single slots of an encoded image without decoding
+// the object: the query layer tests suchthat predicates on stored
+// images this way and decodes only the rows that pass.
+type SlotReader struct {
+	Class *core.Class // the recorded class
+	n     int         // slots in the record
+	slots []byte      // the encoded slot values
+}
+
+// NewSlotReader parses the header of an encoded image: the class, by
+// the recorded class id, and the slot count. It fails where Decode
+// would on a bad header, an unknown class, or a record wider than its
+// class.
+func NewSlotReader(schema *core.Schema, data []byte) (SlotReader, error) {
 	cid, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: class id", ErrCodec)
+		return SlotReader{}, fmt.Errorf("%w: class id", ErrCodec)
 	}
 	data = data[n:]
 	class, ok := schema.ClassByID(core.ClassID(cid))
 	if !ok {
-		return nil, fmt.Errorf("object: record references unknown class id %d (schema not registered?)", cid)
+		return SlotReader{}, fmt.Errorf("object: record references unknown class id %d (schema not registered?)", cid)
 	}
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: slot count", ErrCodec)
+		return SlotReader{}, fmt.Errorf("%w: slot count", ErrCodec)
 	}
-	data = data[n:]
-	o := core.NewObject(class)
-	slots := int(count)
-	if slots > class.NumSlots() {
+	if count > uint64(class.NumSlots()) {
 		// Record written by a wider (newer) layout than registered:
 		// refuse rather than silently truncate.
-		return nil, fmt.Errorf("object: record for %s has %d slots, schema has %d", class.Name, slots, class.NumSlots())
+		return SlotReader{}, fmt.Errorf("object: record for %s has %d slots, schema has %d", class.Name, count, class.NumSlots())
 	}
-	for i := 0; i < slots; i++ {
+	return SlotReader{Class: class, n: int(count), slots: data[n:]}, nil
+}
+
+// decodeInto decodes the record's slots into o, a zero instance of
+// r.Class. Slots beyond the record (schema grew) keep their zero
+// values.
+func (r SlotReader) decodeInto(o *core.Object) error {
+	data := r.slots
+	for i := 0; i < r.n; i++ {
 		v, rest, err := decodeValue(data)
 		if err != nil {
-			return nil, fmt.Errorf("slot %d of %s: %w", i, class.Name, err)
+			return fmt.Errorf("slot %d of %s: %w", i, r.Class.Name, err)
 		}
 		data = rest
 		o.SetSlot(i, v)
 	}
-	// Slots beyond the record (schema grew) keep their zero values.
-	return o, nil
+	return nil
+}
+
+// Slot returns the value of slot i, skipping the slots before it
+// without building them. A slot past the end of a record written
+// before its class grew reads as the field's zero value, as Decode
+// leaves it.
+func (r SlotReader) Slot(i int) (core.Value, error) {
+	if i >= r.n {
+		return r.Class.Layout()[i].Type.Zero(), nil
+	}
+	data := r.slots
+	for j := 0; j < i; j++ {
+		rest, err := skipValue(data)
+		if err != nil {
+			return core.Null, fmt.Errorf("slot %d of %s: %w", j, r.Class.Name, err)
+		}
+		data = rest
+	}
+	v, _, err := decodeValue(data)
+	if err != nil {
+		return core.Null, fmt.Errorf("slot %d of %s: %w", i, r.Class.Name, err)
+	}
+	return v, nil
 }
 
 // EncodeValue serializes one value standalone, in the same
@@ -240,4 +328,35 @@ func decodeValue(data []byte) (core.Value, []byte, error) {
 		return core.ArrayOf(a), data, nil
 	}
 	return core.Null, nil, fmt.Errorf("%w: unknown kind %d", ErrCodec, kind)
+}
+
+// skipValue steps over one encoded value without building it: it
+// decodes scalars, which allocate nothing, and steps over strings and
+// over the elements of sets and arrays.
+func skipValue(data []byte) ([]byte, error) {
+	if len(data) > 0 {
+		switch kind := core.Kind(data[0]); kind {
+		case core.KString:
+			l, n := binary.Uvarint(data[1:])
+			if n <= 0 || uint64(len(data)-1-n) < l {
+				return nil, fmt.Errorf("%w: string", ErrCodec)
+			}
+			return data[1+n+int(l):], nil
+		case core.KSet, core.KArray:
+			cnt, n := binary.Uvarint(data[1:])
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: %s count", ErrCodec, kind)
+			}
+			data = data[1+n:]
+			for i := uint64(0); i < cnt; i++ {
+				var err error
+				if data, err = skipValue(data); err != nil {
+					return nil, err
+				}
+			}
+			return data, nil
+		}
+	}
+	_, rest, err := decodeValue(data)
+	return rest, err
 }

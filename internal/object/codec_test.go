@@ -81,6 +81,11 @@ func TestDecodeCorruptData(t *testing.T) {
 	s, part, _ := testSchema(t)
 	data := Encode(core.NewObject(part))
 	for cut := 1; cut < len(data)-1; cut += 3 {
+		if r, err := NewSlotReader(s, data[:cut]); err == nil {
+			for j := 0; j < part.NumSlots(); j++ {
+				r.Slot(j) // must not panic
+			}
+		}
 		if _, err := Decode(s, data[:cut]); err == nil {
 			// Some prefixes decode to fewer slots, which is allowed
 			// (schema growth); but truncation inside a value must fail.
@@ -97,6 +102,7 @@ func TestDecodeCorruptData(t *testing.T) {
 func TestCodecPropertyRandomObjects(t *testing.T) {
 	s, part, widget := testSchema(t)
 	r := rand.New(rand.NewSource(99))
+	var dec BlockDecoder
 	for i := 0; i < 300; i++ {
 		c := part
 		if r.Intn(2) == 0 {
@@ -116,12 +122,28 @@ func TestCodecPropertyRandomObjects(t *testing.T) {
 		for j := 0; j < r.Intn(4); j++ {
 			arr.Append(core.Str(randString(r)))
 		}
-		got, err := Decode(s, Encode(o))
+		o.MustSet("parent", core.Ref(core.OID(r.Uint64()>>40)))
+		o.MustSet("blessed", core.VersionRef(core.VRef{OID: core.OID(r.Uint64() >> 40), Version: r.Uint32()}))
+		data := Encode(o)
+		got, err := Decode(s, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.EqualState(o) {
 			t.Fatalf("iteration %d: mismatch\n got %s\nwant %s", i, got, o)
+		}
+		// The block decoder and the slot reader read the same image.
+		if got, err := dec.Decode(s, data); err != nil || !got.EqualState(o) {
+			t.Fatalf("iteration %d: block decode %v (%v), want %s", i, got, err, o)
+		}
+		sr, err := NewSlotReader(s, data)
+		if err != nil || sr.Class != c {
+			t.Fatalf("iteration %d: slot reader of class %v (%v), want %s", i, sr.Class, err, c.Name)
+		}
+		for j := 0; j < c.NumSlots(); j++ {
+			if v, err := sr.Slot(j); err != nil || !v.Equal(o.Slot(j)) {
+				t.Fatalf("iteration %d slot %d: %v (%v), want %v", i, j, v, err, o.Slot(j))
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (e *Extent) Next(buf []core.OID) ([]core.OID, error) {
 	return buf, nil
 }
 
-// Resolver decodes the current images of batches of objects for one
+// Resolver reads the current images of batches of objects for one
 // goroutine of a scan. It never reads or fills the object cache: a scan
 // larger than the cache would only churn it, and a cache hit costs a
 // deep copy, about as much as the decode it saves.
@@ -80,17 +80,29 @@ type heapRef struct {
 // NewResolver returns a resolver over the manager's current state.
 func (m *Manager) NewResolver() *Resolver { return &Resolver{m: m} }
 
-// Resolve sets out[i] to the current image of oids[i], or to nil when
-// oids[i] names no live object; oids must ascend and out must be as
-// long. Under one hold of the manager's read lock it reads the batch's
-// directory entries with one forward walk of the directory leaves, sorts
-// the records by heap page, and pins each page once, decoding the
-// records in place. The lock is never held beyond the call, so the
-// caller may run user code between batches. Callers lock the objects
-// (S) first: the images are then the committed state for as long as
-// the transaction lasts.
+// Resolve sets out[i] to the current image of oids[i], decoded, or to
+// nil when oids[i] names no live object; oids must ascend and out must
+// be as long. It is Visit plus Decode.
 func (r *Resolver) Resolve(oids []core.OID, out []*core.Object) error {
 	clear(out)
+	return r.Visit(oids, func(i int, image []byte) (err error) {
+		out[i], err = Decode(r.m.schema, image)
+		return err
+	})
+}
+
+// Visit calls fn(i, image) for each oids[i] that names a live object,
+// with its current encoded image; oids must ascend. Under one hold of
+// the manager's read lock it reads the batch's directory entries with
+// one forward walk of the directory leaves, sorts the records by heap
+// page, and pins each page once, calling fn on the records in place, so
+// the calls come in page order, not in the order of oids. The image is
+// valid only during the call, and fn runs with the read lock held: it
+// must not call back into the manager. The lock is never held beyond
+// the call, so the caller may run user code between batches. Callers
+// lock the objects (S) first: the images are then the committed state
+// for as long as the transaction lasts.
+func (r *Resolver) Visit(oids []core.OID, fn func(i int, image []byte) error) error {
 	r.keyBuf = r.keyBuf[:0]
 	for _, oid := range oids {
 		r.keyBuf = binary.BigEndian.AppendUint64(r.keyBuf, uint64(oid))
@@ -123,7 +135,11 @@ func (r *Resolver) Resolve(oids []core.OID, out []*core.Object) error {
 		h := storage.AsHeap(p)
 		for ; j < len(r.refs) && r.refs[j].rid.Page == page; j++ {
 			ref := r.refs[j]
-			if out[ref.i], err = m.decodeCurrent(h, ref.rid, oids[ref.i]); err != nil {
+			image, err := currentImage(h, ref.rid, oids[ref.i])
+			if err == nil {
+				err = fn(ref.i, image)
+			}
+			if err != nil {
 				m.pool.Unpin(page, false)
 				return err
 			}
@@ -133,9 +149,9 @@ func (r *Resolver) Resolve(oids []core.OID, out []*core.Object) error {
 	return nil
 }
 
-// decodeCurrent decodes the current image of oid from its heap record,
-// which the page must hold in place.
-func (m *Manager) decodeCurrent(h storage.Heap, rid storage.RID, oid core.OID) (*core.Object, error) {
+// currentImage returns the encoded current image of oid from its heap
+// record, which the page must hold in place.
+func currentImage(h storage.Heap, rid storage.RID, oid core.OID) ([]byte, error) {
 	rec, err := h.Get(rid.Slot)
 	if err != nil {
 		return nil, err
@@ -147,7 +163,7 @@ func (m *Manager) decodeCurrent(h storage.Heap, rid storage.RID, oid core.OID) (
 	if kind != recCurrent || roid != oid {
 		return nil, fmt.Errorf("%w: directory entry of @%d names a record of @%d (kind %d)", ErrCodec, oid, roid, kind)
 	}
-	return Decode(m.schema, image)
+	return image, nil
 }
 
 // Footprint counts the pages a full extent scan reads: the record heap,

@@ -287,6 +287,7 @@ type QueryMetrics struct {
 	PlanJoinHash       Counter // joins run as hash joins
 	RowsScanned        Counter // objects fetched by scans (before predicates)
 	RowsYielded        Counter // objects that satisfied predicates and reached the body
+	RowsDecoded        Counter // stored images extent scans decoded into objects
 	FixpointRounds     Counter // delta rounds executed by fixpoint iteration
 	ParallelForalls    Counter // foralls executed by the parallel worker pool
 }
@@ -390,6 +391,7 @@ type QueryStats struct {
 	PlanJoinHash       uint64
 	RowsScanned        uint64
 	RowsYielded        uint64
+	RowsDecoded        uint64
 	FixpointRounds     uint64
 	ParallelForalls    uint64
 }
@@ -483,6 +485,7 @@ func (m *Metrics) Stats() Snapshot {
 			PlanJoinHash:       m.Query.PlanJoinHash.Load(),
 			RowsScanned:        m.Query.RowsScanned.Load(),
 			RowsYielded:        m.Query.RowsYielded.Load(),
+			RowsDecoded:        m.Query.RowsDecoded.Load(),
 			FixpointRounds:     m.Query.FixpointRounds.Load(),
 			ParallelForalls:    m.Query.ParallelForalls.Load(),
 		},
@@ -558,6 +561,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"query.plan_join_hash", &m.Query.PlanJoinHash},
 		{"query.rows_scanned", &m.Query.RowsScanned},
 		{"query.rows_yielded", &m.Query.RowsYielded},
+		{"query.rows_decoded", &m.Query.RowsDecoded},
 		{"query.fixpoint_rounds", &m.Query.FixpointRounds},
 		{"query.parallel_foralls", &m.Query.ParallelForalls},
 		{"trigger.activations", &m.Trigger.Activations},

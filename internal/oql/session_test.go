@@ -446,6 +446,9 @@ func TestEvalExpr(t *testing.T) {
 	defer db.Close()
 	var sink strings.Builder
 	sess := NewSession(db, &sink)
+	// Closing the session ends its ambient transaction; left open, it
+	// would hold db.Close for its whole drain window.
+	defer sess.Close()
 	if err := sess.Exec(`x := 21;`); err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,7 @@ type Query struct {
 	noIndex  bool
 	workers  int  // > 1: partition the scan across a worker pool
 	internal bool // subquery of a join: excluded from forall/plan counters
+	bare     bool // the body reads no object (Count): extent scans skip the decode
 	plan     string
 }
 
@@ -153,9 +154,13 @@ func (q *Query) Collect() ([]Item, error) {
 	return out, err
 }
 
-// Count runs the loop and counts bindings.
+// Count runs the loop and counts bindings. Unless the loop is ordered,
+// an extent scan decodes only the objects an Fn predicate needs: the
+// bindings it counts carry no object.
 func (q *Query) Count() (int, error) {
 	var n atomic.Int64
+	q.bare = q.byField == "" && q.byKey == nil
+	defer func() { q.bare = false }()
 	err := q.Do(func(Item) (bool, error) {
 		n.Add(1)
 		return true, nil
@@ -313,15 +318,41 @@ func (q *Query) extents() []*object.Extent {
 }
 
 // scanLeaf visits the objects of one cluster leaf in OID order,
-// scanBatch at a time: each batch is locked and then resolved as a
-// whole (txn.BatchReader), and only then handed to the loop body, which
-// therefore never runs with the object manager's lock held. OIDs in
-// skip (visited from the write set) are left out; the leaf slice is
-// filtered in place. It reports whether the loop goes on.
+// scanBatch at a time. Each batch is locked and read as a whole
+// (txn.BatchReader.Visit). While a stored image is pinned, its class
+// and, when onImage allows, the suchthat clause are tested on it; a row
+// is decoded only if it passes and the body reads objects (not for
+// Count), into blocks shared by the leaf's objects
+// (object.BlockDecoder). Rows from the write set, and every row under a
+// predicate only Eval can test, are copied or decoded and tested after
+// the visit. The loop body then runs on the batch in OID order, never
+// with the object manager's lock held. OIDs in skip (visited from the
+// write set) are left out; the leaf slice is filtered in place. It
+// reports whether the loop goes on.
 func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]bool, fn func(Item) (bool, error)) (bool, error) {
 	if len(skip) > 0 {
 		leaf = slices.DeleteFunc(leaf, func(oid core.OID) bool { return skip[oid] })
 	}
+	schema := q.tx.Schema()
+	var img imagePred
+	if onImage(q.pred) {
+		img = q.pred.(imagePred)
+	}
+	// A row's state after the visit: not visited (deleted, or another
+	// class), to be tested with Eval, passed, or failed with err.
+	const (
+		rowSkip = iota
+		rowEval
+		rowPass
+		rowErr
+	)
+	type row struct {
+		state int
+		obj   *core.Object
+		err   error
+	}
+	var rowBuf [scanBatch]row
+	var dec object.BlockDecoder
 	for len(leaf) > 0 {
 		batch := leaf[:min(len(leaf), scanBatch)]
 		leaf = leaf[len(batch):]
@@ -329,22 +360,63 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		if err := q.tx.Err(); err != nil {
 			return false, err
 		}
-		objs, err := r.Read(batch)
+		rows := rowBuf[:len(batch)]
+		clear(rows)
+		decoded := 0
+		err := r.Visit(batch, func(i int, obj *core.Object, image []byte) error {
+			if obj != nil {
+				if q.classMatch(obj.Class()) {
+					rows[i] = row{state: rowEval, obj: obj.Copy()}
+				}
+				return nil
+			}
+			sr, err := object.NewSlotReader(schema, image)
+			if err != nil || !q.classMatch(sr.Class) {
+				return err
+			}
+			state := rowPass
+			switch {
+			case img != nil:
+				ok, err := img.evalImage(sr)
+				if err != nil {
+					rows[i] = row{state: rowErr, err: err}
+				}
+				if err != nil || !ok {
+					return nil
+				}
+			case q.pred != nil:
+				state = rowEval
+			}
+			rows[i].state = state
+			if state == rowPass && q.bare {
+				return nil
+			}
+			decoded++
+			rows[i].obj, err = dec.Decode(schema, image)
+			return err
+		})
 		if err != nil {
 			return false, err
 		}
 		q.met().RowsScanned.Add(uint64(len(batch)))
-		for i, o := range objs {
-			if o == nil || !q.classMatch(o.Class()) {
-				continue // deleted before the scan reached it
-			}
-			it := Item{OID: batch[i], Obj: o}
-			ok, err := q.match(it)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
+		q.met().RowsDecoded.Add(uint64(decoded))
+		for i, rw := range rows {
+			it := Item{OID: batch[i], Obj: rw.obj}
+			switch rw.state {
+			case rowSkip:
 				continue
+			case rowErr:
+				return false, rw.err
+			case rowEval:
+				ok, err := q.match(it)
+				if err != nil {
+					return false, err
+				}
+				if !ok {
+					continue
+				}
+			case rowPass:
+				q.met().RowsYielded.Inc()
 			}
 			if cont, err := fn(it); err != nil || !cont {
 				return false, err

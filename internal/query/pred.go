@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ode/internal/core"
+	"ode/internal/object"
 )
 
 // Item is one binding of a forall loop variable: the object id and the
@@ -29,6 +30,39 @@ type Item struct {
 type Pred interface {
 	// Eval tests the predicate against an item.
 	Eval(st core.Store, it Item) (bool, error)
+}
+
+// imagePred is a predicate that extent scans can test on a stored
+// image, before (and instead of) decoding it: FieldPred, IsClass, and
+// And, Or and Not built only from those. evalImage has Eval's
+// semantics, errors included.
+type imagePred interface {
+	evalImage(r object.SlotReader) (bool, error)
+}
+
+// onImage reports whether p can be tested on stored images: it and
+// every predicate it is built from are imagePreds.
+func onImage(p Pred) bool {
+	switch p := p.(type) {
+	case FieldPred, IsClass:
+		return true
+	case AndPred:
+		return allOnImage(p)
+	case OrPred:
+		return allOnImage(p)
+	case NotPred:
+		return onImage(p.P)
+	}
+	return false
+}
+
+func allOnImage(ps []Pred) bool {
+	for _, p := range ps {
+		if !onImage(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // CmpOp is a comparison operator of a field predicate.
@@ -101,6 +135,23 @@ func (p FieldPred) Eval(_ core.Store, it Item) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return p.test(v)
+}
+
+func (p FieldPred) evalImage(r object.SlotReader) (bool, error) {
+	i := r.Class.SlotIndex(p.Name)
+	if i < 0 {
+		return false, fmt.Errorf("%w: field %s.%s", core.ErrNoSuchMember, r.Class.Name, p.Name)
+	}
+	v, err := r.Slot(i)
+	if err != nil {
+		return false, err
+	}
+	return p.test(v)
+}
+
+// test compares a value of the field against the constant.
+func (p FieldPred) test(v core.Value) (bool, error) {
 	c := v.Compare(p.Value)
 	switch p.Op {
 	case OpEq:
@@ -165,6 +216,16 @@ func (a AndPred) Eval(st core.Store, it Item) (bool, error) {
 	return true, nil
 }
 
+func (a AndPred) evalImage(r object.SlotReader) (bool, error) {
+	for _, p := range a {
+		ok, err := p.(imagePred).evalImage(r)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // OrPred is a disjunction.
 type OrPred []Pred
 
@@ -190,6 +251,19 @@ func (o OrPred) Eval(st core.Store, it Item) (bool, error) {
 	return false, nil
 }
 
+func (o OrPred) evalImage(r object.SlotReader) (bool, error) {
+	for _, p := range o {
+		ok, err := p.(imagePred).evalImage(r)
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // NotPred negates a predicate.
 type NotPred struct{ P Pred }
 
@@ -199,6 +273,11 @@ func Not(p Pred) Pred { return NotPred{P: p} }
 // Eval implements Pred.
 func (n NotPred) Eval(st core.Store, it Item) (bool, error) {
 	ok, err := n.P.Eval(st, it)
+	return !ok, err
+}
+
+func (n NotPred) evalImage(r object.SlotReader) (bool, error) {
+	ok, err := n.P.(imagePred).evalImage(r)
 	return !ok, err
 }
 
@@ -222,4 +301,8 @@ func Is(c *core.Class) Pred { return IsClass{Class: c} }
 // Eval implements Pred.
 func (p IsClass) Eval(_ core.Store, it Item) (bool, error) {
 	return it.Obj.Class().IsA(p.Class), nil
+}
+
+func (p IsClass) evalImage(r object.SlotReader) (bool, error) {
+	return r.Class.IsA(p.Class), nil
 }

@@ -48,20 +48,38 @@ var ErrDeadlock = errors.New("txn: deadlock detected; transaction chosen as vict
 //
 // Lock words are sized for scans that take tens of thousands of S
 // locks: a word keeps its first holder inline and allocates nothing
-// more until a second holder or a waiter arrives, words are carved
-// from slabs, and each transaction's held list makes ReleaseAll cost
-// O(locks held) instead of a walk of the whole table.
+// more until a second holder or a waiter arrives; the words of 64
+// consecutive OIDs live in one group, so a scan batch (and its
+// release) probes the table about once instead of once per OID; and
+// each transaction's held list makes ReleaseAll cost O(locks held)
+// instead of a walk of the whole table.
 type LockManager struct {
 	mu       sync.Mutex
-	locks    map[core.OID]*lockState
+	groups   map[core.OID]*lockGroup    // oid>>groupShift -> its group
+	last     *lockGroup                 // the group probed last, or nil
+	lastKey  core.OID                   // its key
+	free     []*lockGroup               // idle groups kept for reuse
 	held     map[uint64][]core.OID      // txid -> OIDs it holds, in grant order
 	waitsFor map[uint64]map[uint64]bool // txid -> the txids it waits on
-	slab     []lockState                // unused lock words
 	met      *obs.TxnMetrics            // never nil; Engine.SetMetrics swaps it
 }
 
-// lockSlab is how many lock words one allocation provides.
-const lockSlab = 64
+const (
+	groupShift = 6                 // a group holds the words of 1<<groupShift OIDs
+	groupMask  = 1<<groupShift - 1 // an OID's word within its group
+	// maxFree bounds the idle groups kept for reuse (about 2.6 MiB):
+	// enough for the next scan of a 64k-object extent to take its locks
+	// without allocating, and never more than were live at once.
+	maxFree = 1024
+)
+
+// lockGroup holds the lock words of 64 consecutive OIDs. It is in the
+// table while any of its words is live: held, waited on, or being
+// acquired.
+type lockGroup struct {
+	words [1 << groupShift]lockState
+	live  int
+}
 
 // lockState is one OID's lock word. Instead of a sync.Cond — whose
 // Wait cannot be raced against a context — release is broadcast by
@@ -69,12 +87,13 @@ const lockSlab = 64
 // and then selects on it against its context's Done channel. The
 // channel exists only while someone waits.
 type lockState struct {
-	owned     bool                // tx/mode name a holder
+	used      bool     // counted live in its group
+	owned     bool     // tx/mode name a holder
+	mode      LockMode // its mode
+	waiting   int32
+	upgrading int32               // holders among the waiters, waiting for S -> X
 	tx        uint64              // first holder
-	mode      LockMode            // its mode
 	more      map[uint64]LockMode // further (shared) holders; nil until needed
-	waiting   int
-	upgrading int // holders among the waiters, waiting for S -> X
 	wake      chan struct{}
 }
 
@@ -129,23 +148,55 @@ func (ls *lockState) remove(txid uint64) {
 // NewLockManager returns an empty lock table.
 func NewLockManager() *LockManager {
 	return &LockManager{
-		locks:    make(map[core.OID]*lockState),
+		groups:   make(map[core.OID]*lockGroup),
 		held:     make(map[uint64][]core.OID),
 		waitsFor: make(map[uint64]map[uint64]bool),
 		met:      &obs.TxnMetrics{},
 	}
 }
 
-// word returns oid's lock word, creating it. Caller holds lm.mu.
-func (lm *LockManager) word(oid core.OID) *lockState {
-	ls, ok := lm.locks[oid]
-	if !ok {
-		if len(lm.slab) == 0 {
-			lm.slab = make([]lockState, lockSlab)
+// group returns the group holding oid's word, or nil. Caller holds
+// lm.mu.
+func (lm *LockManager) group(oid core.OID) *lockGroup {
+	key := oid >> groupShift
+	if lm.last == nil || lm.lastKey != key {
+		g, ok := lm.groups[key]
+		if !ok {
+			return nil
 		}
-		ls = &lm.slab[0]
-		lm.slab = lm.slab[1:]
-		lm.locks[oid] = ls
+		lm.last, lm.lastKey = g, key
+	}
+	return lm.last
+}
+
+// lookup returns oid's lock word if it is live, or nil. Caller holds
+// lm.mu.
+func (lm *LockManager) lookup(oid core.OID) *lockState {
+	if g := lm.group(oid); g != nil {
+		if ls := &g.words[oid&groupMask]; ls.used {
+			return ls
+		}
+	}
+	return nil
+}
+
+// word returns oid's lock word, making it live. Caller holds lm.mu.
+func (lm *LockManager) word(oid core.OID) *lockState {
+	g := lm.group(oid)
+	if g == nil {
+		if n := len(lm.free); n > 0 {
+			g, lm.free = lm.free[n-1], lm.free[:n-1]
+		} else {
+			g = new(lockGroup)
+		}
+		key := oid >> groupShift
+		lm.groups[key] = g
+		lm.last, lm.lastKey = g, key
+	}
+	ls := &g.words[oid&groupMask]
+	if !ls.used {
+		ls.used = true
+		g.live++
 	}
 	return ls
 }
@@ -287,12 +338,24 @@ func (lm *LockManager) wakeAll(ls *lockState) {
 	}
 }
 
-// dropIfIdle removes oid's lock word when nothing holds or waits on it
+// dropIfIdle retires oid's lock word when nothing holds or waits on it
 // any more (a wait abandoned on the last reference must not leak the
-// entry). Caller holds lm.mu.
+// entry), and its group with its last live word. Caller holds lm.mu.
 func (lm *LockManager) dropIfIdle(oid core.OID, ls *lockState) {
-	if !ls.owned && ls.waiting == 0 {
-		delete(lm.locks, oid)
+	if ls.owned || ls.waiting > 0 || !ls.used {
+		return
+	}
+	ls.used = false
+	g := lm.group(oid)
+	if g.live--; g.live > 0 {
+		return
+	}
+	delete(lm.groups, oid>>groupShift)
+	lm.last = nil
+	if len(lm.free) < maxFree {
+		// Every word is idle: nothing holds or waits on it, so the group
+		// is reused as it is.
+		lm.free = append(lm.free, g)
 	}
 }
 
@@ -325,7 +388,7 @@ func (lm *LockManager) ReleaseAll(txid uint64) {
 	defer lm.mu.Unlock()
 	delete(lm.waitsFor, txid)
 	for _, oid := range lm.held[txid] {
-		ls := lm.locks[oid]
+		ls := lm.lookup(oid)
 		ls.remove(txid)
 		lm.wakeAll(ls)
 		lm.dropIfIdle(oid, ls)
@@ -339,27 +402,31 @@ func (lm *LockManager) HeldLocks(txid uint64) map[core.OID]LockMode {
 	defer lm.mu.Unlock()
 	out := make(map[core.OID]LockMode)
 	for _, oid := range lm.held[txid] {
-		if m, ok := lm.locks[oid].holding(txid); ok {
+		if m, ok := lm.lookup(oid).holding(txid); ok {
 			out[oid] = m
 		}
 	}
 	return out
 }
 
-// TableSize reports how many OIDs currently have lock words (tests:
-// abandoned waits must not leak entries).
+// TableSize reports how many OIDs currently have live lock words
+// (tests: abandoned waits must not leak entries).
 func (lm *LockManager) TableSize() int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return len(lm.locks)
+	n := 0
+	for _, g := range lm.groups {
+		n += g.live
+	}
+	return n
 }
 
 // Waiting reports how many waiters are blocked on oid (tests).
 func (lm *LockManager) Waiting(oid core.OID) int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if ls, ok := lm.locks[oid]; ok {
-		return ls.waiting
+	if ls := lm.lookup(oid); ls != nil {
+		return int(ls.waiting)
 	}
 	return 0
 }

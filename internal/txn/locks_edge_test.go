@@ -194,6 +194,140 @@ func TestDeadContextFastFails(t *testing.T) {
 	}
 }
 
+// Lock words live in groups of 64 consecutive OIDs. Releasing every
+// lock empties the table: no group outlives its last live word, and the
+// idle groups kept for reuse stay within their bound.
+func TestReleaseAllEmptiesLockGroups(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	// Stride 7 spreads 10 000 OIDs over more groups than the free list
+	// keeps, and a second transaction shares every 10th word.
+	var mine, shared []core.OID
+	for i := 0; i < 10_000; i++ {
+		oid := core.OID(1 + 7*i)
+		mine = append(mine, oid)
+		if i%10 == 0 {
+			shared = append(shared, oid)
+		}
+	}
+	if err := lm.AcquireAll(bg, 1, mine, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.AcquireAll(bg, 2, shared, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if n := lm.TableSize(); n != len(mine) {
+		t.Fatalf("lock table holds %d words, want %d", n, len(mine))
+	}
+	if len(lm.groups) <= maxFree {
+		t.Fatalf("%d groups: too few to test the free-list bound", len(lm.groups))
+	}
+	lm.ReleaseAll(1)
+	if n := lm.TableSize(); n != len(shared) {
+		t.Fatalf("lock table holds %d words with tx 2 alone, want %d", n, len(shared))
+	}
+	lm.ReleaseAll(2)
+	if n, g := lm.TableSize(), len(lm.groups); n != 0 || g != 0 {
+		t.Fatalf("after all releases: %d words in %d groups, want none", n, g)
+	}
+	if len(lm.free) > maxFree {
+		t.Fatalf("%d idle groups kept, bound %d", len(lm.free), maxFree)
+	}
+	// Reused groups come back clean.
+	if err := lm.AcquireAll(bg, 3, mine, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(3)
+	if n, g := lm.TableSize(), len(lm.groups); n != 0 || g != 0 {
+		t.Fatalf("after reuse: %d words in %d groups, want none", n, g)
+	}
+}
+
+// A wait that times out, is canceled, or loses a deadlock leaves its
+// word's group to the holder alone; once the holder releases, no group
+// is left.
+func TestAbandonedWaitsLeaveNoGroup(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	const a, b = core.OID(130), core.OID(300) // two groups
+	if err := lm.Acquire(bg, 1, a, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(bg, 2, b, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	timed, cancelTimed := context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancelTimed()
+	if err := lm.Acquire(timed, 3, a, Shared); !errors.Is(err, ErrTxTimeout) {
+		t.Fatalf("timed-out wait = %v, want ErrTxTimeout", err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	waiter := make(chan error, 1)
+	go func() { waiter <- lm.Acquire(ctx, 3, b, Shared) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(b) == 1 })
+	cancel()
+	if err := <-waiter; !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled wait = %v, want ErrCanceled", err)
+	}
+	// tx 1 waits on b; tx 2 asking for a closes the cycle.
+	cross := make(chan error, 1)
+	go func() { cross <- lm.Acquire(bg, 1, b, Shared) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(b) == 1 })
+	if err := lm.Acquire(bg, 2, a+1, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(bg, 2, a, Shared); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("cycle-closing request = %v, want ErrDeadlock", err)
+	}
+	if n, g := lm.TableSize(), len(lm.groups); n != 3 || g != 2 {
+		t.Fatalf("with the holders live: %d words in %d groups, want 3 in 2", n, g)
+	}
+	lm.ReleaseAll(2)
+	if err := <-cross; err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(1)
+	if n, g := lm.TableSize(), len(lm.groups); n != 0 || g != 0 {
+		t.Fatalf("after all releases: %d words in %d groups, want none", n, g)
+	}
+}
+
+// A waiter asleep on one word keeps its group in the table while the
+// other 63 words of the group go idle, and is then granted.
+func TestWaiterKeepsItsGroup(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	const base = core.OID(64) // the group of OIDs 64..127
+	if err := lm.Acquire(bg, 1, base, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	var rest []core.OID
+	for oid := base + 1; oid < base+64; oid++ {
+		rest = append(rest, oid)
+	}
+	if err := lm.AcquireAll(bg, 2, rest, Shared); err != nil {
+		t.Fatal(err)
+	}
+	waiter := make(chan error, 1)
+	go func() { waiter <- lm.Acquire(bg, 3, base, Shared) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(base) == 1 })
+	lm.ReleaseAll(2)
+	if n, g := lm.TableSize(), len(lm.groups); n != 1 || g != 1 {
+		t.Fatalf("with one word held and waited on: %d words in %d groups, want 1 in 1", n, g)
+	}
+	lm.ReleaseAll(1)
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter = %v, want nil", err)
+	}
+	if got := lm.HeldLocks(3)[base]; got != Shared {
+		t.Fatalf("waiter holds %v, want S", got)
+	}
+	lm.ReleaseAll(3)
+	if n, g := lm.TableSize(), len(lm.groups); n != 0 || g != 0 {
+		t.Fatalf("after all releases: %d words in %d groups, want none", n, g)
+	}
+}
+
 // A pending S -> X upgrade makes new readers queue behind it (so
 // readers that keep arriving cannot starve it); when the upgrade gives
 // up on its deadline instead, the queued reader is let in at once.

@@ -471,14 +471,13 @@ func (tx *Tx) Deref(oid core.OID) (*core.Object, error) {
 // objects this transaction wrote come from its private state — and
 // takes the same locks, S on every other object, held to commit; but it
 // takes a batch's locks in one lock-table critical section and then
-// resolves the whole batch under one hold of the object manager's read
+// reads the whole batch under one hold of the object manager's read
 // lock (object.Resolver).
 type BatchReader struct {
 	tx   *Tx
 	res  *object.Resolver
 	need []core.OID // the batch's OIDs outside the write set
 	pos  []int      // their positions in the batch
-	objs []*core.Object
 	out  []*core.Object
 }
 
@@ -489,22 +488,47 @@ func (tx *Tx) NewBatchReader() *BatchReader {
 
 // Read returns the transaction's view of each of oids, which must
 // ascend: nil where that object does not exist or this transaction
-// deleted it. The slice is reused by the next call. All locks are taken
-// before anything is read, so no commit can slip in between a lock and
-// its read.
+// deleted it. The slice is reused by the next call. It is Visit plus
+// Decode (and a copy of each object from the write set).
 func (b *BatchReader) Read(oids []core.OID) ([]*core.Object, error) {
-	tx := b.tx
-	if err := tx.ensureActive(); err != nil {
-		return nil, err
-	}
 	out := slices.Grow(b.out[:0], len(oids))[:len(oids)]
 	b.out = out
+	clear(out)
+	err := b.Visit(oids, func(i int, obj *core.Object, image []byte) (err error) {
+		if obj != nil {
+			out[i] = obj.Copy()
+			return nil
+		}
+		out[i], err = object.Decode(b.tx.engine.mgr.Schema(), image)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Visit calls fn once for each of oids (which must ascend) that exists
+// in the transaction's view: fn(i, obj, nil) with the transaction's
+// private state for an object it wrote, then fn(i, nil, image) with the
+// committed encoded image for the rest, in heap-page order. fn must not
+// keep or modify obj. An image is valid only during its call, which
+// runs under the object manager's read lock (object.Resolver.Visit), so
+// fn must not call back into the transaction. All locks are taken
+// before anything is read, so no commit can slip in between a lock and
+// its read.
+func (b *BatchReader) Visit(oids []core.OID, fn func(i int, obj *core.Object, image []byte) error) error {
+	tx := b.tx
+	if err := tx.ensureActive(); err != nil {
+		return err
+	}
 	b.need, b.pos = b.need[:0], b.pos[:0]
 	for i, oid := range oids {
 		if w, ok := tx.writes[oid]; ok {
-			out[i] = nil
 			if w.obj != nil {
-				out[i] = w.obj.Copy()
+				if err := fn(i, w.obj, nil); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -512,19 +536,14 @@ func (b *BatchReader) Read(oids []core.OID) ([]*core.Object, error) {
 		b.pos = append(b.pos, i)
 	}
 	if len(b.need) == 0 {
-		return out, nil
+		return nil
 	}
 	if err := tx.lockAll(b.need, Shared); err != nil {
-		return nil, err
+		return err
 	}
-	b.objs = slices.Grow(b.objs[:0], len(b.need))[:len(b.need)]
-	if err := b.res.Resolve(b.need, b.objs); err != nil {
-		return nil, err
-	}
-	for j, o := range b.objs {
-		out[b.pos[j]] = o
-	}
-	return out, nil
+	return b.res.Visit(b.need, func(j int, image []byte) error {
+		return fn(b.pos[j], nil, image)
+	})
 }
 
 // DerefVersion implements core.Store for pinned version references.

@@ -690,3 +690,61 @@ func TestCommitBatchesAreDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BatchReader.Read gives Deref's view of a batch: the transaction's own
+// updates and creations as private copies, nil for what it deleted or
+// what never existed, and the committed state, S-locked, for the rest.
+func TestBatchReaderReadMatchesDeref(t *testing.T) {
+	e, item := newTestEngine(t)
+	var oids []core.OID
+	setup := e.Begin()
+	for i := 0; i < 150; i++ {
+		oid, err := setup.PNew(item, newItem(item, fmt.Sprintf("item-%d", i), int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	defer tx.Abort()
+	if err := tx.Update(oids[3], newItem(item, "updated", 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.PDelete(oids[70]); err != nil {
+		t.Fatal(err)
+	}
+	made, err := tx.PNew(item, newItem(item, "made", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(append([]core.OID{}, oids...), made, made+1)
+	got, err := tx.NewBatchReader().Read(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, oid := range batch {
+		want, err := tx.Deref(oid)
+		if errors.Is(err, object.ErrNoObject) {
+			if got[i] != nil {
+				t.Errorf("@%d: read %v, want nil", oid, got[i])
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || !got[i].EqualState(want) {
+			t.Errorf("@%d: read %v, Deref %v", oid, got[i], want)
+		}
+	}
+	got[3].MustSet("qty", core.Int(1))
+	if o, _ := tx.Deref(oids[3]); o.MustGet("qty").Int() != 1000 {
+		t.Error("Read handed out the transaction's own object, not a copy")
+	}
+	if held := e.Locks().HeldLocks(tx.ID()); held[oids[0]] != Shared || len(held) < len(oids)-1 {
+		t.Errorf("reader holds %d locks (@%d: %v), want S on every committed object", len(held), oids[0], held[oids[0]])
+	}
+}

@@ -20,7 +20,8 @@ import (
 // against three concurrent writers (an inserter, an updater and a
 // deleter) and cover C and C* loops, the scanning transaction's own
 // updates, deletes and creates, fixpoint bodies that create objects or
-// make one start to match, early stops, and Parallel(n).
+// make one start to match, early stops, and Parallel(n); Count, which
+// decodes no object, is checked against the reference's length.
 
 type diffWorld struct {
 	db         *DB
@@ -252,7 +253,7 @@ func diffScans(t *testing.T, seed int64) {
 		wg.Wait()
 	}()
 	rng := rand.New(rand.NewSource(seed))
-	checked := 0
+	checked, counted := 0, 0
 	for round := 0; round < 36; round++ {
 		mode := round % nModes
 		c := w.pick(rng)
@@ -291,6 +292,12 @@ func diffScans(t *testing.T, seed int64) {
 			if err := w.checkLoop(tx, rng, mode, c, star, min); err != nil {
 				return err
 			}
+			if mode == modePlain || mode == modeSnapshot || mode == modeParallel {
+				if err := w.checkCount(tx, mode, c, star, min); err != nil {
+					return err
+				}
+				counted++
+			}
 			checked++
 			return nil
 		})
@@ -301,8 +308,8 @@ func diffScans(t *testing.T, seed int64) {
 			return
 		}
 	}
-	if checked < 30 || w.seq.Load() == 0 {
-		t.Fatalf("%d loops checked, %d concurrent inserts: too few to mean anything", checked, w.seq.Load())
+	if checked < 30 || counted < 12 || w.seq.Load() == 0 {
+		t.Fatalf("%d loops and %d counts checked, %d concurrent inserts: too few to mean anything", checked, counted, w.seq.Load())
 	}
 }
 
@@ -332,8 +339,9 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 		q = q.Parallel(3)
 	}
 	ws0 := tx.WriteSet()
-	// The snapshot body updates the last object of c's extent before
-	// the scan reaches it: the loop must yield the updated image.
+	// The snapshot body writes the last object of c's extent before the
+	// scan reaches it: the loop must yield the updated image, or skip
+	// the object when the write deletes it or makes it stop matching.
 	var ahead OID
 	if oids, err := tx.Manager().ClusterOIDs(c); err != nil {
 		return err
@@ -362,7 +370,14 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 			if err != nil {
 				return false, err
 			}
-			o.MustSet("n", Int(99))
+			switch {
+			case ahead%3 == 0:
+				return true, tx.PDelete(ahead)
+			case ahead%3 == 1 && min > 0:
+				o.MustSet("n", Int(min-1))
+			default:
+				o.MustSet("n", Int(99))
+			}
 			return true, tx.Update(ahead, o)
 		case mode == modeCreate && n <= 3:
 			o := NewObject(it.Obj.Class())
@@ -455,6 +470,45 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 				return fmt.Errorf("mode %d: got %+v, reference %+v", mode, g, r)
 			}
 		}
+	}
+	return nil
+}
+
+// checkCount runs the loop's Count form, which tests stored images and
+// decodes nothing, and compares it with the reference's length. Objects
+// the inserter committed after the count began may or may not be
+// counted, so they widen the accepted range.
+func (w *diffWorld) checkCount(tx *Tx, mode int, c *Class, star bool, min int64) error {
+	q := Forall(tx, c).SuchThat(Field("n").Ge(Int(min)))
+	if star {
+		q = q.Subtypes()
+	}
+	switch mode {
+	case modeSnapshot:
+		q = q.Snapshot()
+	case modeParallel:
+		q = q.Parallel(3)
+	}
+	ws0 := tx.WriteSet()
+	before := w.seq.Load()
+	got, err := q.Count()
+	if err != nil {
+		return err
+	}
+	ref, err := w.reference(tx, ws0, c, star, min)
+	if err != nil {
+		return err
+	}
+	late := 0
+	w.mu.Lock()
+	for _, r := range ref {
+		if at, inserted := w.insertedAt[r.oid]; inserted && at > before {
+			late++
+		}
+	}
+	w.mu.Unlock()
+	if got < len(ref)-late || got > len(ref) {
+		return fmt.Errorf("mode %d count (C%s, n >= %d) = %d, reference %d (%d inserted during the count)", mode, starIf(star), min, got, len(ref), late)
 	}
 	return nil
 }

@@ -96,6 +96,10 @@ func TestReadOnlyScanDoesNotFlush(t *testing.T) {
 // once, plus at most one re-pin of a directory leaf and of a heap page
 // per batch of scanBatch (64) objects, since a batch boundary can fall
 // inside either; a batch never spans two cluster leaves.
+//
+// Allocations: a predicated count tests the stored images and decodes
+// none, so it allocates per page and per batch, not per row; a Do loop
+// that takes every row decodes each one.
 func TestExtentScanWorkCounts(t *testing.T) {
 	const n = 20_000
 	db, stock := scanFixture(t, n)
@@ -122,7 +126,41 @@ func TestExtentScanWorkCounts(t *testing.T) {
 	if d := after.Storage.DWFlushes - before.Storage.DWFlushes; d != 0 {
 		t.Errorf("scan caused %d double-write flushes", d)
 	}
-	if allocs := testing.AllocsPerRun(2, func() { countAll(t, db, stock, n) }) / n; allocs > 5 {
-		t.Errorf("%.2f allocations per row, limit 5", allocs)
+	// price = i/100 >= 0 holds for every item: an Int operand against a
+	// Float field, as in the scan benchmark.
+	count := func() {
+		var got int
+		err := db.View(func(tx *Tx) error {
+			var err error
+			got, err = Forall(tx, stock).SuchThat(Field("price").Ge(Int(0))).Count()
+			return err
+		})
+		if err != nil || got != n {
+			t.Fatalf("count = %d, %v; want %d", got, err, n)
+		}
+	}
+	before = db.Stats()
+	count()
+	after = db.Stats()
+	if d := after.Query.RowsDecoded - before.Query.RowsDecoded; d != 0 {
+		t.Errorf("a predicated count decoded %d rows", d)
+	}
+	if allocs := testing.AllocsPerRun(2, count) / n; allocs > 0.05 {
+		t.Errorf("predicated count: %.3f allocations per row, limit 0.05", allocs)
+	}
+	do := func() {
+		rows := 0
+		err := db.View(func(tx *Tx) error {
+			return Forall(tx, stock).Do(func(it Item) (bool, error) {
+				rows++
+				return true, nil
+			})
+		})
+		if err != nil || rows != n {
+			t.Fatalf("Do took %d rows, %v; want %d", rows, err, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(2, do) / n; allocs > 3 {
+		t.Errorf("Do loop: %.3f allocations per row, limit 3", allocs)
 	}
 }
