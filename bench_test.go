@@ -1,755 +1,38 @@
-// Benchmarks regenerating the reproduction's evaluation (DESIGN.md §5,
-// EXPERIMENTS.md). The source paper is a design paper without measured
-// tables; every benchmark here either regenerates one of its worked
-// examples (WE §x) or quantifies a performance claim its text makes
-// (PC §x). Run with:
+// BenchmarkExperiments drives the experiment registry of internal/bench
+// (DESIGN.md §5, EXPERIMENTS.md): one sub-benchmark per experiment and
+// case, timing b.N ops and reporting each case's extras as metrics.
+// -short divides every size by 10, as ode-bench -quick does. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run='^$' -bench 'Experiments/E3' -benchmem
+//	go test -short -run='^$' -bench=. -benchtime=1x ./...
 package ode_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
+	"runtime"
 	"testing"
 
-	"ode"
 	"ode/internal/bench"
 )
 
-func mustWorld(b *testing.B, opts *ode.Options) *bench.World {
-	b.Helper()
-	w, err := bench.NewWorld(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(w.Close)
-	return w
-}
-
-// --- E1 (WE §2.2-2.5): persistent object creation and reopen scan ---
-
-func BenchmarkPersistCreate(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w := mustWorld(b, nil)
-				b.StartTimer()
-				if _, err := w.LoadStock(n); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				w.Close()
-			}
-		})
-	}
-}
-
-func BenchmarkReopenScan(b *testing.B) {
-	// Build once, then measure close+reopen+full-scan cycles.
-	dir, err := os.MkdirTemp("", "ode-reopen")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "x.odb")
-	s, w := bench.Schema()
-	db, err := ode.Open(path, s, &ode.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.DB = db
-	for _, c := range []*ode.Class{w.Stock} {
-		if err := db.CreateCluster(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := w.LoadStock(10000); err != nil {
-		b.Fatal(err)
-	}
-	db.Close()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2, w2 := bench.Schema()
-		db2, err := ode.Open(path, s2, &ode.Options{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		db2.View(func(tx *ode.Tx) error {
-			var err error
-			n, err = ode.Forall(tx, w2.Stock).Count()
-			return err
-		})
-		if n != 10000 {
-			b.Fatalf("scan found %d", n)
-		}
-		db2.Close()
-	}
-}
-
-// --- E2 (PC §3): declarative cluster scan vs CODASYL pointer chase ---
-
-func BenchmarkClusterScan(b *testing.B) {
-	w := mustWorld(b, nil)
-	if _, err := w.LoadStock(50000); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int64
-		w.DB.View(func(tx *ode.Tx) error {
-			return ode.Forall(tx, w.Stock).Do(func(it ode.Item) (bool, error) {
-				sum += it.Obj.MustGet("qty").Int()
-				return true, nil
-			})
-		})
-		if sum == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
-func BenchmarkPointerChase(b *testing.B) {
-	w := mustWorld(b, nil)
-	head, err := w.LoadChain(50000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int64
-		w.DB.View(func(tx *ode.Tx) error {
-			for oid := head; oid != ode.NilOID; {
-				o, err := tx.Deref(oid)
-				if err != nil {
-					return err
-				}
-				sum += o.MustGet("value").Int()
-				oid = o.MustGet("next").OID()
-			}
-			return nil
-		})
-		if sum == 0 {
-			b.Fatal("empty chase")
-		}
-	}
-}
-
-// --- E3 (WE §3.1): suchthat selection, scan vs index, by selectivity ---
-
-func benchSuchthat(b *testing.B, indexed bool) {
-	w := mustWorld(b, nil)
-	const n = 20000
-	if _, err := w.LoadStock(n); err != nil {
-		b.Fatal(err)
-	}
-	if indexed {
-		if err := w.DB.CreateIndex(w.Stock, "qty"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, selPct := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("select=%d%%", selPct), func(b *testing.B) {
-			lo := ode.Int(int64(n - n*selPct/100))
-			want := n * selPct / 100
-			for i := 0; i < b.N; i++ {
-				var got int
-				w.DB.View(func(tx *ode.Tx) error {
-					q := ode.Forall(tx, w.Stock).SuchThat(ode.Field("qty").Ge(lo))
-					if !indexed {
-						q = q.NoIndex()
-					}
-					var err error
-					got, err = q.Count()
-					return err
-				})
-				if got != want {
-					b.Fatalf("matched %d, want %d", got, want)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSuchthatScan(b *testing.B)    { benchSuchthat(b, false) }
-func BenchmarkSuchthatIndexed(b *testing.B) { benchSuchthat(b, true) }
-
-// --- E4 (WE §3.1): the by (ordering) clause ---
-
-func BenchmarkForallBy(b *testing.B) {
-	w := mustWorld(b, nil)
-	if _, err := w.LoadStock(20000); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var last int64 = -1
-		w.DB.View(func(tx *ode.Tx) error {
-			return ode.Forall(tx, w.Stock).By("qty").Do(func(it ode.Item) (bool, error) {
-				q := it.Obj.MustGet("qty").Int()
-				if q < last {
-					b.Fatal("order violated")
-				}
-				last = q
-				return true, nil
-			})
-		})
-	}
-}
-
-// --- E5 (WE §3.1.1): hierarchy iteration person vs person* ---
-
-func BenchmarkHierarchyScan(b *testing.B) {
-	w := mustWorld(b, nil)
-	if _, err := w.LoadPersons(20000); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("person", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.DB.View(func(tx *ode.Tx) error {
-				n, err := ode.Forall(tx, w.Person).Count()
-				if n != 10000 {
-					b.Fatalf("n=%d", n)
-				}
-				return err
-			})
-		}
-	})
-	b.Run("person*", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.DB.View(func(tx *ode.Tx) error {
-				n, err := ode.Forall(tx, w.Person).Subtypes().Count()
-				if n != 20000 {
-					b.Fatalf("n=%d", n)
-				}
-				return err
-			})
-		}
-	})
-}
-
-// --- E6 (WE §3.1): two-variable joins by physical strategy ---
-
-func benchJoin(b *testing.B, strat ode.JoinStrategy, index bool) {
-	w := mustWorld(b, nil)
-	if err := w.LoadEmpDept(5000, 50); err != nil {
-		b.Fatal(err)
-	}
-	if index {
-		if err := w.DB.CreateIndex(w.Dept, "deptno"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var pairs int
-		w.DB.View(func(tx *ode.Tx) error {
-			j := ode.Forall(tx, w.Emp).JoinWith(ode.Forall(tx, w.Dept)).
-				OnEq("deptno", "deptno").Strategy(strat)
-			var err error
-			pairs, err = j.Count()
-			return err
-		})
-		if pairs != 5000 {
-			b.Fatalf("pairs=%d", pairs)
-		}
-	}
-}
-
-func BenchmarkJoinNestedLoop(b *testing.B) { benchJoin(b, ode.NestedLoop, false) }
-func BenchmarkJoinHash(b *testing.B)       { benchJoin(b, ode.HashJoin, false) }
-func BenchmarkJoinIndexNL(b *testing.B)    { benchJoin(b, ode.IndexNestedLoop, true) }
-
-// --- E7 (WE §3.2): fixpoint (parts explosion) strategies ---
-
-func benchFixpoint(b *testing.B, f func([]ode.Value, ode.SuccFunc) (*ode.Set, error)) {
-	w := mustWorld(b, nil)
-	root, total, err := w.LoadPartDAG(6, 40, 6, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = total
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.DB.View(func(tx *ode.Tx) error {
-			set, err := f([]ode.Value{ode.Ref(root)}, bench.Subparts(tx))
-			if err != nil {
-				return err
-			}
-			if set.Len() < 10 {
-				b.Fatalf("closure too small: %d", set.Len())
-			}
-			return nil
-		})
-	}
-}
-
-func BenchmarkFixpointWorklist(b *testing.B)  { benchFixpoint(b, ode.TransitiveClosure) }
-func BenchmarkFixpointNaive(b *testing.B)     { benchFixpoint(b, ode.NaiveTransitiveClosure) }
-func BenchmarkFixpointSemiNaive(b *testing.B) { benchFixpoint(b, ode.SemiNaiveTransitiveClosure) }
-
-// --- E8 (WE §4): versioning ---
-
-func BenchmarkNewVersion(b *testing.B) {
-	w := mustWorld(b, nil)
-	oids, err := w.LoadStock(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oid := oids[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := w.DB.RunTx(func(tx *ode.Tx) error {
-			_, err := tx.NewVersion(oid)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchDeref(b *testing.B, chain int, specific bool) {
-	w := mustWorld(b, nil)
-	oids, err := w.LoadStock(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oid := oids[0]
-	err = w.DB.RunTx(func(tx *ode.Tx) error {
-		for i := 0; i < chain; i++ {
-			if _, err := tx.NewVersion(oid); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := ode.VRef{OID: oid, Version: uint32(chain / 2)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.DB.View(func(tx *ode.Tx) error {
-			if specific {
-				_, err := tx.DerefVersion(ref)
-				return err
-			}
-			_, err := tx.Deref(oid)
-			return err
-		})
-	}
-}
-
-func BenchmarkDerefGeneric(b *testing.B) {
-	for _, chain := range []int{0, 16, 128} {
-		b.Run(fmt.Sprintf("chain=%d", chain), func(b *testing.B) { benchDeref(b, chain, false) })
-	}
-}
-
-func BenchmarkDerefSpecific(b *testing.B) {
-	for _, chain := range []int{16, 128} {
-		b.Run(fmt.Sprintf("chain=%d", chain), func(b *testing.B) { benchDeref(b, chain, true) })
-	}
-}
-
-// --- E9 (WE §5): constraint enforcement cost ---
-
-func benchConstraintWorld(b *testing.B, constraints int) (*ode.DB, *ode.Class, ode.OID) {
-	b.Helper()
-	s := ode.NewSchema()
-	builder := ode.NewClass("acct").Field("bal", ode.TInt)
-	for k := 0; k < constraints; k++ {
-		builder = builder.Constraint(fmt.Sprintf("c%d", k), "bal >= 0",
-			func(_ ode.Store, o *ode.Object) (bool, error) {
-				return o.MustGet("bal").Int() >= 0, nil
-			})
-	}
-	acct := builder.Register(s)
-	dir, err := os.MkdirTemp("", "ode-cons")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	db, err := ode.Open(filepath.Join(dir, "c.odb"), s, &ode.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	if err := db.CreateCluster(acct); err != nil {
-		b.Fatal(err)
-	}
-	var oid ode.OID
-	db.RunTx(func(tx *ode.Tx) error {
-		o := ode.NewObject(acct)
-		o.MustSet("bal", ode.Int(100))
-		var err error
-		oid, err = tx.PNew(acct, o)
-		return err
-	})
-	return db, acct, oid
-}
-
-func BenchmarkConstraintOverhead(b *testing.B) {
-	for _, nc := range []int{0, 1, 4} {
-		b.Run(fmt.Sprintf("constraints=%d", nc), func(b *testing.B) {
-			db, _, oid := benchConstraintWorld(b, nc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.RunTx(func(tx *ode.Tx) error {
-					o, err := tx.Deref(oid)
-					if err != nil {
-						return err
-					}
-					o.MustSet("bal", ode.Int(int64(i%1000)))
-					return tx.Update(oid, o)
-				})
-			}
-		})
-	}
-}
-
-func BenchmarkConstraintAbort(b *testing.B) {
-	db, _, oid := benchConstraintWorld(b, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := db.RunTx(func(tx *ode.Tx) error {
-			o, err := tx.Deref(oid)
-			if err != nil {
-				return err
-			}
-			o.MustSet("bal", ode.Int(-1))
-			return tx.Update(oid, o)
-		})
-		if err == nil {
-			b.Fatal("violation not detected")
-		}
-	}
-}
-
-// --- E10 (WE §6): triggers ---
-
-func benchTriggerWorld(b *testing.B, perpetual bool) (*ode.DB, ode.OID) {
-	b.Helper()
-	s := ode.NewSchema()
-	item := ode.NewClass("item").
-		Field("qty", ode.TInt).
-		Field("fires", ode.TInt).
-		Trigger(&ode.TriggerDef{
-			Name:      "watch",
-			Perpetual: perpetual,
-			Cond: func(_ ode.Store, o *ode.Object, _ []ode.Value) (bool, error) {
-				return o.MustGet("qty").Int() < 0, nil
-			},
-			Action: func(st ode.Store, o *ode.Object, oid ode.OID, _ []ode.Value) error {
-				o.MustSet("fires", ode.Int(o.MustGet("fires").Int()+1))
-				o.MustSet("qty", ode.Int(0))
-				return st.Update(oid, o)
-			},
-		}).
-		Register(s)
-	dir, err := os.MkdirTemp("", "ode-trig")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	db, err := ode.Open(filepath.Join(dir, "t.odb"), s, &ode.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	if err := db.CreateCluster(item); err != nil {
-		b.Fatal(err)
-	}
-	var oid ode.OID
-	db.RunTx(func(tx *ode.Tx) error {
-		o := ode.NewObject(item)
-		o.MustSet("qty", ode.Int(10))
-		var err error
-		oid, err = tx.PNew(item, o)
-		return err
-	})
-	return db, oid
-}
-
-func BenchmarkTriggerActivate(b *testing.B) {
-	db, oid := benchTriggerWorld(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var id ode.OID
-		db.RunTx(func(tx *ode.Tx) error {
-			var err error
-			id, err = db.Triggers().Activate(tx, oid, "watch")
-			return err
-		})
-		db.RunTx(func(tx *ode.Tx) error { return db.Triggers().Deactivate(tx, id) })
-	}
-}
-
-func benchTriggerFire(b *testing.B, perpetual bool) {
-	db, oid := benchTriggerWorld(b, perpetual)
-	if perpetual {
-		db.RunTx(func(tx *ode.Tx) error {
-			_, err := db.Triggers().Activate(tx, oid, "watch")
-			return err
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !perpetual {
-			db.RunTx(func(tx *ode.Tx) error {
-				_, err := db.Triggers().Activate(tx, oid, "watch")
-				return err
-			})
-		}
-		// Make the condition true; the commit fires the trigger and the
-		// synchronous action resets qty to 0.
-		db.RunTx(func(tx *ode.Tx) error {
-			o, err := tx.Deref(oid)
-			if err != nil {
-				return err
-			}
-			o.MustSet("qty", ode.Int(-1))
-			return tx.Update(oid, o)
-		})
-	}
-	b.StopTimer()
-	var fires int64
-	db.View(func(tx *ode.Tx) error {
-		o, _ := tx.Deref(oid)
-		fires = o.MustGet("fires").Int()
-		return nil
-	})
-	if fires == 0 {
-		b.Fatal("trigger never fired")
-	}
-}
-
-func BenchmarkTriggerFireOnce(b *testing.B)      { benchTriggerFire(b, false) }
-func BenchmarkTriggerFirePerpetual(b *testing.B) { benchTriggerFire(b, true) }
-
-// BenchmarkTriggerQuiescent measures the per-commit cost of having an
-// armed trigger whose condition stays false.
-func BenchmarkTriggerQuiescent(b *testing.B) {
-	db, oid := benchTriggerWorld(b, true)
-	db.RunTx(func(tx *ode.Tx) error {
-		_, err := db.Triggers().Activate(tx, oid, "watch")
-		return err
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.RunTx(func(tx *ode.Tx) error {
-			o, err := tx.Deref(oid)
-			if err != nil {
-				return err
-			}
-			o.MustSet("qty", ode.Int(int64(1+i%100)))
-			return tx.Update(oid, o)
-		})
-	}
-}
-
-// --- E11 (PC §2): volatile vs persistent object manipulation ---
-
-func BenchmarkVolatileVsPersistent(b *testing.B) {
-	b.Run("volatile", func(b *testing.B) {
-		s, w := bench.Schema()
-		_ = s
-		for i := 0; i < b.N; i++ {
-			o := ode.NewObject(w.Stock)
-			o.MustSet("qty", ode.Int(int64(i)))
-			if o.MustGet("qty").Int() != int64(i) {
-				b.Fatal("bad state")
-			}
-		}
-	})
-	b.Run("persistent", func(b *testing.B) {
-		w := mustWorld(b, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			err := w.DB.RunTx(func(tx *ode.Tx) error {
-				o := ode.NewObject(w.Stock)
-				o.MustSet("qty", ode.Int(int64(i)))
-				_, err := tx.PNew(w.Stock, o)
-				return err
-			})
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			err := e.Run(bench.Driver{Short: testing.Short(), Workers: runtime.GOMAXPROCS(0),
+				Measure: func(c bench.Case) error {
+					b.Run(c.Label(), func(b *testing.B) {
+						d, extra, err := c.Measure(b.N)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ReportMetric(float64(d.Nanoseconds()), "ns/op")
+						for unit, v := range extra {
+							b.ReportMetric(v, unit)
+						}
+					})
+					return nil
+				}})
 			if err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- E12: recovery (repair-on-open rebuild) ---
-
-func BenchmarkRecovery(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir, err := os.MkdirTemp("", "ode-recover")
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Inline RemoveAll below handles the happy path; the
-				// cleanup catches b.Fatal exits mid-iteration.
-				b.Cleanup(func() { os.RemoveAll(dir) })
-				path := filepath.Join(dir, "r.odb")
-				s, w := bench.Schema()
-				db, err := ode.Open(path, s, &ode.Options{NoSync: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				w.DB = db
-				db.CreateCluster(w.Stock)
-				if _, err := w.LoadStock(n); err != nil {
-					b.Fatal(err)
-				}
-				// Simulated crash: no checkpoint, WAL left in place.
-				db.CrashForTesting()
-				b.StartTimer()
-				s2, w2 := bench.Schema()
-				db2, err := ode.Open(path, s2, &ode.Options{NoSync: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				var count int
-				db2.View(func(tx *ode.Tx) error {
-					count, err = ode.Forall(tx, w2.Stock).Count()
-					return err
-				})
-				if count != n {
-					b.Fatalf("recovered %d of %d", count, n)
-				}
-				db2.Close()
-				os.RemoveAll(dir)
-			}
-		})
-	}
-}
-
-// --- E13: multi-core read path ---
-
-// BenchmarkConcurrentDeref measures Deref throughput with many
-// goroutines sharing one read transaction: the sharded buffer pool and
-// decoded-object cache are the contended structures. Scale with -cpu.
-func BenchmarkConcurrentDeref(b *testing.B) {
-	w := mustWorld(b, nil)
-	oids, err := w.LoadStock(20000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the decoded-object cache so the steady state is measured.
-	err = w.DB.View(func(tx *ode.Tx) error {
-		for _, oid := range oids {
-			if _, err := tx.Deref(oid); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	w.DB.View(func(tx *ode.Tx) error {
-		var goroutines atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			// Stride each goroutine through a different region.
-			i := int(goroutines.Add(1)) * 7919
-			for pb.Next() {
-				o, err := tx.Deref(oids[i%len(oids)])
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if o.MustGet("qty").Int() < 0 {
-					b.Error("bad qty")
-					return
-				}
-				i++
-			}
-		})
-		return nil
-	})
-}
-
-// BenchmarkParallelClusterScan sweeps Query.Parallel worker counts over
-// one cluster scan with a concurrency-safe aggregation body.
-func BenchmarkParallelClusterScan(b *testing.B) {
-	w := mustWorld(b, nil)
-	if _, err := w.LoadStock(50000); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var sum atomic.Int64
-				err := w.DB.View(func(tx *ode.Tx) error {
-					return ode.Forall(tx, w.Stock).Parallel(workers).
-						Do(func(it ode.Item) (bool, error) {
-							sum.Add(it.Obj.MustGet("qty").Int())
-							return true, nil
-						})
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sum.Load() == 0 {
-					b.Fatal("empty scan")
-				}
-			}
-		})
-	}
-}
-
-// --- Ablations ---
-
-// BenchmarkBufferPoolSweep shows scan throughput vs pool size (working
-// set ~ 1200 pages for 50k stockitems).
-func BenchmarkBufferPoolSweep(b *testing.B) {
-	for _, pages := range []int{64, 256, 4096} {
-		b.Run(fmt.Sprintf("pool=%d", pages), func(b *testing.B) {
-			w := mustWorld(b, &ode.Options{NoSync: true, PoolPages: pages})
-			if _, err := w.LoadStock(50000); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.DB.View(func(tx *ode.Tx) error {
-					_, err := ode.Forall(tx, w.Stock).Count()
-					return err
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkCommitDurability contrasts fsync-per-commit with NoSync.
-func BenchmarkCommitDurability(b *testing.B) {
-	for _, nosync := range []bool{false, true} {
-		name := "fsync"
-		if nosync {
-			name = "nosync"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := mustWorld(b, &ode.Options{NoSync: nosync})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := w.DB.RunTx(func(tx *ode.Tx) error {
-					o := ode.NewObject(w.Stock)
-					o.MustSet("qty", ode.Int(int64(i)))
-					_, err := tx.PNew(w.Stock, o)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

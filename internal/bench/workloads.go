@@ -1,9 +1,3 @@
-// Package bench provides the workload builders and experiment runners
-// behind the reproduction's evaluation (DESIGN.md §5). The paper has no
-// quantitative evaluation section — it is a language/data-model design
-// paper — so each experiment regenerates one of its worked examples or
-// quantifies one of its performance claims; bench_test.go exposes them
-// as testing.B benchmarks and cmd/ode-bench prints report tables.
 package bench
 
 import (
