@@ -55,8 +55,14 @@ func (s *Scan) req(withBatch bool) []byte {
 // the row count. Results arrive in batches (RespBatch frames) and fn
 // runs as they arrive; returning false stops consumption client-side
 // (the remaining stream is drained). An error frame mid-stream ends
-// the scan with that typed error.
+// the scan with that typed error. Rows are decoded into blocks shared
+// by many objects (object.BlockDecoder); fn may keep them.
 func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
+	return tx.scan(s, fn)
+}
+
+// scan is Forall; a nil fn counts the rows without decoding them.
+func (tx *Tx) scan(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
 	if tx.done {
 		return 0, ode.ErrTxDone
 	}
@@ -68,6 +74,7 @@ func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error
 	total := 0
 	var scanErr error
 	stop := false
+	var dec object.BlockDecoder
 	err := cn.do(tx.context(), func() error {
 		if err := cn.send(buf); err != nil {
 			return err
@@ -90,7 +97,11 @@ func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error
 					if stop || scanErr != nil {
 						continue // draining
 					}
-					obj, err := object.Decode(tx.c.schema, image)
+					if fn == nil {
+						total++
+						continue
+					}
+					obj, err := dec.Decode(tx.c.schema, image)
 					if err != nil {
 						scanErr = err
 						continue
@@ -138,9 +149,10 @@ func (tx *Tx) Collect(s *Scan) ([]ode.OID, []*ode.Object, error) {
 	return oids, objs, err
 }
 
-// Count runs the scan discarding rows.
+// Count runs the scan and counts its rows. Like an embedded Count, it
+// decodes none of them.
 func (tx *Tx) Count(s *Scan) (int, error) {
-	return tx.Forall(s, func(ode.OID, *ode.Object) (bool, error) { return true, nil })
+	return tx.scan(s, nil)
 }
 
 // Explain returns the access-path plan the server would use for the

@@ -519,6 +519,10 @@ type mergeRow struct {
 	obj *ode.Object
 }
 
+// mergeBatch is how many rows a shard's stream hands the merge at once:
+// one channel operation per batch, not per row.
+const mergeBatch = 64
+
 // Forall runs the scan on every shard concurrently and streams the
 // k-way merge of their OID-ordered result streams through fn, in
 // global OID order — the same order, and for identical data the same
@@ -526,7 +530,8 @@ type mergeRow struct {
 // Tx.Forall: returning false stops consumption (all shard streams are
 // drained), an error ends the scan with that error. When several
 // shards fail, the lowest shard index's error is reported,
-// deterministically.
+// deterministically. Each shard's rows reach the merge in OID-ordered
+// slices of up to mergeBatch rows.
 func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
 	n := len(t.s.shards)
 	if n == 1 {
@@ -548,60 +553,71 @@ func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, erro
 	}
 	t.s.met.ScatterScans.Inc()
 
-	chans := make([]chan mergeRow, n)
+	chans := make([]chan []mergeRow, n)
 	errs := make([]error, n)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range txs {
-		chans[i] = make(chan mergeRow, 64)
+		chans[i] = make(chan []mergeRow, 1)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(chans[i])
-			_, errs[i] = txs[i].Forall(sc, func(oid ode.OID, obj *ode.Object) (bool, error) {
+			var rows []mergeRow
+			send := func() bool {
 				select {
-				case chans[i] <- mergeRow{oid, obj}:
-					return true, nil
+				case chans[i] <- rows:
+					rows = nil
+					return true
 				case <-stop:
-					return false, nil
+					return false
 				}
+			}
+			_, errs[i] = txs[i].Forall(sc, func(oid ode.OID, obj *ode.Object) (bool, error) {
+				if rows == nil {
+					rows = make([]mergeRow, 0, mergeBatch)
+				}
+				rows = append(rows, mergeRow{oid, obj})
+				return len(rows) < mergeBatch || send(), nil
 			})
+			if len(rows) > 0 {
+				send()
+			}
 		}(i)
 	}
 
-	// K-way merge: hold one head row per live stream, always deliver
-	// the smallest OID. Shards hold disjoint OID residues, so there are
-	// never ties.
-	heads := make([]mergeRow, n)
-	have := make([]bool, n)
-	pull := func(i int) {
-		r, ok := <-chans[i]
-		heads[i], have[i] = r, ok
-	}
-	for i := 0; i < n; i++ {
-		pull(i)
+	// K-way merge: hold one batch per live stream, always deliver the
+	// smallest head OID. Shards hold disjoint OID residues, so there are
+	// never ties; a stream's batches are never empty, so a nil batch
+	// means the stream ended.
+	heads := make([][]mergeRow, n)
+	for i := range heads {
+		heads[i] = <-chans[i]
 	}
 	total := 0
 	var scanErr error
 	for {
 		best := -1
-		for i := 0; i < n; i++ {
-			if have[i] && (best < 0 || heads[i].oid < heads[best].oid) {
+		for i, h := range heads {
+			if len(h) > 0 && (best < 0 || h[0].oid < heads[best][0].oid) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
+		r := heads[best][0]
 		total++
-		more, err := fn(heads[best].oid, heads[best].obj)
+		more, err := fn(r.oid, r.obj)
 		if err != nil {
 			scanErr = err
 		}
 		if err != nil || !more {
 			break
 		}
-		pull(best)
+		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
+			heads[best] = <-chans[best]
+		}
 	}
 	close(stop)
 	for i := 0; i < n; i++ {

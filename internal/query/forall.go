@@ -34,8 +34,14 @@ type Query struct {
 	workers  int  // > 1: partition the scan across a worker pool
 	internal bool // subquery of a join: excluded from forall/plan counters
 	bare     bool // the body reads no object (Count): extent scans skip the decode
+	images   bool // the body takes stored images (DoImages): extent scans skip the decode
+	arena    []byte
 	plan     string
 }
+
+// rowFn is a loop body inside the package: image is the row's stored
+// encoding when the row comes undecoded (DoImages), else nil.
+type rowFn func(it Item, image []byte) (bool, error)
 
 // met returns the query metric set of the owning engine (never nil).
 func (q *Query) met() *obs.QueryMetrics { return &q.tx.Metrics().Query }
@@ -125,6 +131,27 @@ func (q *Query) Plan() string { return q.plan }
 // queries) unless Snapshot or an ordering clause is in effect. Objects
 // deleted in the surrounding transaction are never visited.
 func (q *Query) Do(fn func(it Item) (bool, error)) error {
+	return q.run(func(it Item, _ []byte) (bool, error) { return fn(it) })
+}
+
+// DoImages is Do for a body that ships rows on instead of reading them
+// (the wire server's forall). A row that an extent scan read from its
+// stored image, and whose image passed the suchthat test, comes
+// undecoded: fn(it, image) with it.Obj nil and image the stored
+// encoding, as object.Decode reads it. The image lives in an arena the
+// query reuses for every batch, so it is valid only until fn returns.
+// Every other row (from the write set, a fixpoint delta or an index
+// range, or tested by a predicate only Eval can test) comes as
+// fn(it, nil) with it.Obj set. Ordered and Parallel loops decode every
+// row.
+func (q *Query) DoImages(fn func(it Item, image []byte) (bool, error)) error {
+	q.images = q.byField == "" && q.byKey == nil && q.workers <= 1
+	defer func() { q.images = false }()
+	return q.run(fn)
+}
+
+// run is Do over a rowFn.
+func (q *Query) run(fn rowFn) error {
 	if !q.internal {
 		q.met().Foralls.Inc()
 	}
@@ -213,7 +240,7 @@ func (q *Query) match(it Item) (bool, error) {
 // first pass of every unordered loop: those objects live in tx-local
 // state and are authoritative over any index entry or extent
 // membership) and returns it as the skip set of the later passes.
-func (q *Query) visitWriteSet(fn func(Item) (bool, error)) (skip map[core.OID]bool, cont bool, err error) {
+func (q *Query) visitWriteSet(fn rowFn) (skip map[core.OID]bool, cont bool, err error) {
 	writeSet := q.tx.WriteSet()
 	if len(writeSet) == 0 {
 		return nil, true, nil
@@ -232,7 +259,7 @@ func (q *Query) visitWriteSet(fn func(Item) (bool, error)) (skip map[core.OID]bo
 
 // visitOID is the point-lookup path (write set, index ranges, fixpoint
 // deltas): fetch one object and yield it if it binds and matches.
-func (q *Query) visitOID(oid core.OID, fn func(Item) (bool, error)) (bool, error) {
+func (q *Query) visitOID(oid core.OID, fn rowFn) (bool, error) {
 	it, ok, err := q.fetch(oid)
 	if err != nil || !ok {
 		return err == nil, err
@@ -240,7 +267,7 @@ func (q *Query) visitOID(oid core.OID, fn func(Item) (bool, error)) (bool, error
 	if ok, err := q.match(it); err != nil || !ok {
 		return err == nil, err
 	}
-	return fn(it)
+	return fn(it, nil)
 }
 
 // planIndex picks the access path, records it in the plan string and
@@ -269,7 +296,7 @@ func (q *Query) planIndex() (lo, hi core.Value, field string) {
 // choosing an index access path when possible. No item buffering:
 // extents of distinct classes are disjoint and index entries are
 // unique per object, so no dedup set is needed beyond the write set.
-func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
+func (q *Query) gatherEach(fn rowFn) error {
 	skip, cont, err := q.visitWriteSet(fn)
 	if err != nil || !cont {
 		return err
@@ -323,13 +350,15 @@ func (q *Query) extents() []*object.Extent {
 // and, when onImage allows, the suchthat clause are tested on it; a row
 // is decoded only if it passes and the body reads objects (not for
 // Count), into blocks shared by the leaf's objects
-// (object.BlockDecoder). Rows from the write set, and every row under a
-// predicate only Eval can test, are copied or decoded and tested after
-// the visit. The loop body then runs on the batch in OID order, never
-// with the object manager's lock held. OIDs in skip (visited from the
-// write set) are left out; the leaf slice is filtered in place. It
-// reports whether the loop goes on.
-func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]bool, fn func(Item) (bool, error)) (bool, error) {
+// (object.BlockDecoder). Under DoImages a passed image is copied into
+// the query's arena instead (reset per batch) and yielded undecoded.
+// Rows from the write set, and every row under a predicate only Eval
+// can test, are copied or decoded and tested after the visit. The loop
+// body then runs on the batch in OID order, never with the object
+// manager's lock held. OIDs in skip (visited from the write set) are
+// left out; the leaf slice is filtered in place. It reports whether
+// the loop goes on.
+func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]bool, fn rowFn) (bool, error) {
 	if len(skip) > 0 {
 		leaf = slices.DeleteFunc(leaf, func(oid core.OID) bool { return skip[oid] })
 	}
@@ -347,9 +376,10 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		rowErr
 	)
 	type row struct {
-		state int
-		obj   *core.Object
-		err   error
+		state  int
+		obj    *core.Object
+		err    error
+		lo, hi int // a passed row's image in q.arena (DoImages)
 	}
 	var rowBuf [scanBatch]row
 	var dec object.BlockDecoder
@@ -362,6 +392,9 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		}
 		rows := rowBuf[:len(batch)]
 		clear(rows)
+		if q.images { // never set on a Parallel loop, whose workers share q
+			q.arena = q.arena[:0]
+		}
 		decoded := 0
 		err := r.Visit(batch, func(i int, obj *core.Object, image []byte) error {
 			if obj != nil {
@@ -388,6 +421,13 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 				state = rowEval
 			}
 			rows[i].state = state
+			if state == rowPass && q.images {
+				// Copied while the page is pinned; yielded undecoded.
+				rows[i].lo = len(q.arena)
+				q.arena = append(q.arena, image...)
+				rows[i].hi = len(q.arena)
+				return nil
+			}
 			if state == rowPass && q.bare {
 				return nil
 			}
@@ -402,6 +442,10 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		q.met().RowsDecoded.Add(uint64(decoded))
 		for i, rw := range rows {
 			it := Item{OID: batch[i], Obj: rw.obj}
+			var image []byte
+			if rw.hi > rw.lo {
+				image = q.arena[rw.lo:rw.hi:rw.hi]
+			}
 			switch rw.state {
 			case rowSkip:
 				continue
@@ -418,7 +462,7 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 			case rowPass:
 				q.met().RowsYielded.Inc()
 			}
-			if cont, err := fn(it); err != nil || !cont {
+			if cont, err := fn(it, image); err != nil || !cont {
 				return false, err
 			}
 		}
@@ -435,7 +479,7 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 // that every worker polls per object, and the error of the
 // lowest-numbered chunk wins, so the reported error does not depend on
 // goroutine scheduling.
-func (q *Query) runParallel(fn func(Item) (bool, error)) error {
+func (q *Query) runParallel(fn rowFn) error {
 	skip, cont, err := q.visitWriteSet(fn)
 	if err != nil || !cont {
 		return err
@@ -491,11 +535,11 @@ func (q *Query) runParallel(fn func(Item) (bool, error)) error {
 		claimMu.Unlock()
 		stop.Store(true)
 	}
-	visit := func(it Item) (bool, error) {
+	visit := func(it Item, image []byte) (bool, error) {
 		if stop.Load() {
 			return false, nil
 		}
-		return fn(it)
+		return fn(it, image)
 	}
 	for w := 0; w < q.workers; w++ {
 		wg.Add(1)
@@ -555,7 +599,7 @@ func (q *Query) runParallel(fn func(Item) (bool, error)) error {
 // gather collects the matching items (ordered runs need them all).
 func (q *Query) gather() ([]Item, error) {
 	var out []Item
-	err := q.gatherEach(func(it Item) (bool, error) {
+	err := q.gatherEach(func(it Item, _ []byte) (bool, error) {
 		out = append(out, it)
 		return true, nil
 	})
@@ -631,7 +675,7 @@ func (q *Query) indexPath() (lo, hi core.Value, field string, residual bool) {
 }
 
 // runOrdered gathers, sorts by the key, and visits.
-func (q *Query) runOrdered(fn func(it Item) (bool, error)) error {
+func (q *Query) runOrdered(fn rowFn) error {
 	items, err := q.gather()
 	if err != nil {
 		return err
@@ -661,7 +705,7 @@ func (q *Query) runOrdered(fn func(it Item) (bool, error)) error {
 		return c < 0
 	})
 	for _, e := range ks {
-		cont, err := fn(e.it)
+		cont, err := fn(e.it, nil)
 		if err != nil || !cont {
 			return err
 		}
@@ -678,12 +722,12 @@ func (q *Query) runOrdered(fn func(it Item) (bool, error)) error {
 // it empty is done after the first pass; the first pass just notes the
 // OIDs it yielded, and the visited set is built from them only when a
 // delta pass has something to compare against.
-func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
+func (q *Query) runFixpoint(fn rowFn) error {
 	var yielded []core.OID
 	stopped := false
-	err := q.gatherEach(func(it Item) (bool, error) {
+	err := q.gatherEach(func(it Item, image []byte) (bool, error) {
 		yielded = append(yielded, it.OID)
-		cont, err := fn(it)
+		cont, err := fn(it, image)
 		if !cont {
 			stopped = true
 		}
@@ -732,7 +776,7 @@ func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
 		q.met().FixpointRounds.Inc()
 		for _, it := range delta {
 			visited[it.OID] = true
-			cont, err := fn(it)
+			cont, err := fn(it, nil)
 			if err != nil || !cont {
 				return err
 			}

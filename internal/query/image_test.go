@@ -101,3 +101,76 @@ func TestOnImageRejectsFn(t *testing.T) {
 		}
 	}
 }
+
+// DoImages yields the rows Do yields, in the same order. A row an
+// extent scan passed on its stored image comes undecoded and decodes to
+// the object Do binds; rows from the write set, from an Fn predicate's
+// decode-then-Eval and from ordered loops come as objects.
+func TestDoImagesMatchesDo(t *testing.T) {
+	u := newUniversity(t)
+	oids := u.seed(t)
+	tx := u.engine.Begin()
+	defer tx.Abort()
+	p3, err := tx.Deref(oids["p3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3.MustSet("income", core.Int(9000))
+	if err := tx.Update(oids["p3"], p3); err != nil {
+		t.Fatal(err)
+	}
+	fresh := core.NewObject(u.student)
+	fresh.MustSet("income", core.Int(700))
+	if _, err := tx.PNew(u.student, fresh); err != nil {
+		t.Fatal(err)
+	}
+	rich := func(_ core.Store, it Item) (bool, error) { return it.Obj.MustGet("income").Int() >= 300, nil }
+	loops := []struct {
+		name   string
+		q      func() *Query
+		images bool // some rows come as images
+	}{
+		{"extent", func() *Query { return Forall(tx, u.person) }, true},
+		{"hierarchy", func() *Query { return Forall(tx, u.person).Subtypes() }, true},
+		{"field", func() *Query { return Forall(tx, u.person).Subtypes().SuchThat(Field("income").Ge(core.Int(300))) }, true},
+		{"fn", func() *Query { return Forall(tx, u.person).Subtypes().SuchThat(Fn(rich)) }, false},
+		{"ordered", func() *Query { return Forall(tx, u.person).Subtypes().By("income") }, false},
+	}
+	schema := tx.Schema()
+	for _, l := range loops {
+		want, err := l.q().Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Item
+		images := 0
+		err = l.q().DoImages(func(it Item, image []byte) (bool, error) {
+			if (image == nil) == (it.Obj == nil) {
+				return false, fmt.Errorf("oid %d: image %x, object %v", it.OID, image, it.Obj)
+			}
+			if image != nil {
+				images++
+				var err error
+				if it.Obj, err = object.Decode(schema, image); err != nil {
+					return false, err
+				}
+			}
+			got = append(got, it)
+			return true, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: DoImages yielded %d rows, Do %d", l.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].OID != want[i].OID || !got[i].Obj.EqualState(want[i].Obj) {
+				t.Fatalf("%s: row %d is %d %v, want %d %v", l.name, i, got[i].OID, got[i].Obj, want[i].OID, want[i].Obj)
+			}
+		}
+		if l.images != (images > 0) || images >= len(got) {
+			t.Errorf("%s: %d of %d rows came as images", l.name, images, len(got))
+		}
+	}
+}

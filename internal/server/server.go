@@ -792,10 +792,14 @@ func (c *conn) handleVRef(f *wire.Frame) error {
 	}
 }
 
-// Batch size bounds for streamed forall results.
+// Batch size bounds for streamed forall results. A batch is flushed
+// when it holds its row count or when its body passes maxBatchBytes,
+// whichever comes first, so a frame stays far below the wire limit
+// however wide the rows are.
 const (
-	defaultBatch = 256
-	maxBatch     = 8192
+	defaultBatch  = 256
+	maxBatch      = 8192
+	maxBatchBytes = 1 << 20
 )
 
 // buildQuery assembles a server-side forall from a wire request.
@@ -822,9 +826,12 @@ func (c *conn) buildQuery(tx *ode.Tx, req *wire.ForallReq) (*query.Query, error)
 }
 
 // handleForall streams scan results: RespBatch frames of up to the
-// requested batch size, then RespDone with the total row count. Each
-// batch is flushed as it fills, so a large scan streams instead of
-// buffering server-side.
+// requested batch size (and about maxBatchBytes), then RespDone with
+// the total row count. Each batch is flushed as it fills, so a large
+// scan streams instead of buffering server-side. A row an extent scan
+// read from its stored image is shipped as stored (query.DoImages),
+// never decoded; only rows that come as objects (the transaction's own
+// writes, index-range lookups) are encoded here.
 func (c *conn) handleForall(f *wire.Frame) error {
 	tx := c.sessionTx()
 	if tx == nil {
@@ -846,28 +853,31 @@ func (c *conn) handleForall(f *wire.Frame) error {
 		return c.replyErr(f.ReqID, err)
 	}
 	var (
-		body  []byte
-		inBuf int
-		total uint64
-		werr  error
+		body, frame []byte
+		inBuf       int
+		total       uint64
+		werr        error
 	)
 	emit := func() {
 		if inBuf == 0 || werr != nil {
 			return
 		}
-		frame := wire.AppendUvarint(nil, uint64(inBuf))
+		frame = wire.AppendUvarint(frame[:0], uint64(inBuf))
 		frame = append(frame, body...)
 		if werr = c.reply(f.ReqID, wire.RespBatch, frame); werr == nil {
 			werr = c.flush()
 		}
 		body, inBuf = body[:0], 0
 	}
-	scanErr := q.Do(func(it query.Item) (bool, error) {
+	scanErr := q.DoImages(func(it query.Item, image []byte) (bool, error) {
+		if image == nil {
+			image = object.Encode(it.Obj)
+		}
 		body = wire.AppendUvarint(body, uint64(it.OID))
-		body = wire.AppendBytes(body, object.Encode(it.Obj))
+		body = wire.AppendBytes(body, image)
 		inBuf++
 		total++
-		if inBuf >= batch {
+		if inBuf >= batch || len(body) >= maxBatchBytes {
 			emit()
 			if werr != nil {
 				return false, werr

@@ -49,13 +49,24 @@ func item(stock *ode.Class, name string, qty int64, price float64) *ode.Object {
 func startServer(t testing.TB, path string, srvOpts *server.Options) (*ode.DB, *server.Server, string, *ode.Class) {
 	t.Helper()
 	schema, stock := invSchema()
-	db, err := ode.Open(path, schema, nil)
+	db, srv, addr := openServed(t, path, schema, nil, srvOpts, stock)
+	return db, srv, addr, stock
+}
+
+// openServed opens (or reopens) the database at path against schema,
+// creates the clusters of classes that have none yet, and serves it on
+// a loopback port until the test ends.
+func openServed(t testing.TB, path string, schema *ode.Schema, opts *ode.Options, srvOpts *server.Options, classes ...*ode.Class) (*ode.DB, *server.Server, string) {
+	t.Helper()
+	db, err := ode.Open(path, schema, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			t.Fatal(err)
+	for _, c := range classes {
+		if !db.HasCluster(c) {
+			if err := db.CreateCluster(c); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	srv := server.New(db, srvOpts)
@@ -68,7 +79,7 @@ func startServer(t testing.TB, path string, srvOpts *server.Options) (*ode.DB, *
 		srv.Close()
 		db.Close()
 	})
-	return db, srv, addr.String(), stock
+	return db, srv, addr.String()
 }
 
 func startEnv(t testing.TB, srvOpts *server.Options) (*ode.DB, *server.Server, *client.Client, *ode.Class) {

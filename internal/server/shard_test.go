@@ -1,17 +1,16 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"ode"
 	"ode/client"
 	"ode/internal/netchaos"
-	"ode/internal/object"
 	"ode/internal/server"
 )
 
@@ -20,26 +19,7 @@ import (
 func startShardServer(t testing.TB, path string, slot, count int) (*ode.DB, *server.Server, string) {
 	t.Helper()
 	schema, stock := invSchema()
-	db, err := ode.Open(path, schema, &ode.Options{ShardCount: count, ShardSlot: slot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := server.New(db, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(nil)
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
-	return db, srv, addr.String()
+	return openServed(t, path, schema, &ode.Options{ShardCount: count, ShardSlot: slot}, nil, stock)
 }
 
 // startShardGroup boots an n-shard group and a router over it.
@@ -181,8 +161,14 @@ func seedKeyed(t testing.TB, n int,
 // check: the same OID-keyed dataset seeded into a 3-shard group and
 // into one unsharded server must produce byte-identical (oid, image)
 // streams from a routed scatter-gather forall and a single-node scan.
+// Each shard streams its 200 rows in several server frames (batch) and
+// hands them to the merge in several batches. A body that stops
+// mid-batch ends the scan with every shard stream drained.
 func TestShardedForallMatchesSingleNode(t *testing.T) {
-	const n = 60 // divisible by 3 so the strided OID sets line up as 1..n
+	const (
+		n     = 600 // divisible by 3 so the strided OID sets line up as 1..n
+		batch = 45  // rows per server frame
+	)
 
 	_, _, sh, stock := startShardGroup(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -209,51 +195,61 @@ func TestShardedForallMatchesSingleNode(t *testing.T) {
 		})
 	}, sstock)
 
-	// The helper rewrote by the captured oids; redo with fn that uses
-	// them — collect streams from both sides and compare byte for byte.
-	type row struct {
-		oid ode.OID
-		img []byte
-	}
-	collect := func(forall func(fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error)) []row {
-		var rows []row
-		if _, err := forall(func(oid ode.OID, obj *ode.Object) (bool, error) {
-			rows = append(rows, row{oid, object.Encode(obj)})
-			return true, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	var shardRows, singleRows []row
+	// Collect the streams from both sides and compare byte for byte.
+	var shardRows, singleRows []scanRow
 	if err := sh.View(ctx, func(tx *client.STx) error {
-		shardRows = collect(func(fn func(ode.OID, *ode.Object) (bool, error)) (int, error) {
-			return tx.Forall(&client.Scan{Class: stock}, fn)
-		})
-		return nil
+		_, err := tx.Forall(&client.Scan{Class: stock, Batch: batch}, rowCollector(&shardRows))
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := single.View(ctx, func(tx *client.Tx) error {
-		singleRows = collect(func(fn func(ode.OID, *ode.Object) (bool, error)) (int, error) {
-			return tx.Forall(&client.Scan{Class: sstock}, fn)
-		})
-		return nil
+		_, err := tx.Forall(&client.Scan{Class: sstock, Batch: batch}, rowCollector(&singleRows))
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	if len(shardRows) != n || len(singleRows) != n {
-		t.Fatalf("row counts: sharded %d, single %d, want %d", len(shardRows), len(singleRows), n)
+	if len(shardRows) != n {
+		t.Fatalf("sharded scan returned %d rows, want %d", len(shardRows), n)
 	}
-	for i := range shardRows {
-		if shardRows[i].oid != singleRows[i].oid || !bytes.Equal(shardRows[i].img, singleRows[i].img) {
-			t.Fatalf("row %d diverges: sharded oid %d vs single oid %d",
-				i, shardRows[i].oid, singleRows[i].oid)
-		}
-		if i > 0 && shardRows[i].oid <= shardRows[i-1].oid {
+	sameRows(t, "sharded vs single", shardRows, singleRows)
+	for i := 1; i < n; i++ {
+		if shardRows[i].oid <= shardRows[i-1].oid {
 			t.Fatalf("merged stream out of OID order at row %d", i)
 		}
+	}
+
+	// A body that stops mid-batch: the scan returns at once, every
+	// shard stream drains (the same transaction scans again in sync)
+	// and no scan goroutine outlives it.
+	const stopAt = 100 // not a multiple of a merge batch
+	goroutines := runtime.NumGoroutine()
+	if err := sh.View(ctx, func(tx *client.STx) error {
+		var seen []scanRow
+		collect := rowCollector(&seen)
+		got, err := tx.Forall(&client.Scan{Class: stock, Batch: batch}, func(oid ode.OID, obj *ode.Object) (bool, error) {
+			collect(oid, obj)
+			return len(seen) < stopAt, nil
+		})
+		if err != nil {
+			return err
+		}
+		if got != stopAt {
+			return fmt.Errorf("stopped scan returned %d rows, want %d", got, stopAt)
+		}
+		sameRows(t, "stopped scan", seen, singleRows[:stopAt])
+		if got, err = tx.Count(&client.Scan{Class: stock, Batch: batch}); err == nil && got != n {
+			err = fmt.Errorf("count after a stopped scan = %d, want %d", got, n)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the stopped scan, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Predicated scatter-gather agrees too.
@@ -274,6 +270,83 @@ func TestShardedForallMatchesSingleNode(t *testing.T) {
 	}
 	if shardCount != singleCount {
 		t.Fatalf("predicated counts diverge: sharded %d, single %d", shardCount, singleCount)
+	}
+}
+
+// TestShardedForallMidStreamErrors: when two shards' streams fail
+// mid-scan, the scatter-gather forall reports the error of the lowest
+// shard index, whatever the timing. Each shard holds, after its
+// stockitems, an object of a subclass the router's schema lacks, so the
+// router's decode fails on that row, with an error naming the class.
+func TestShardedForallMidStreamErrors(t *testing.T) {
+	const n = 300
+	sub := []string{"gadget", "widget"} // shard i's unknown subclass
+	var addrs []string
+	for slot := range sub {
+		schema, stock := invSchema()
+		classes := []*ode.Class{stock}
+		for _, name := range sub {
+			classes = append(classes, ode.NewClass(name, stock).Field(name+"_id", ode.TInt).Register(schema))
+		}
+		db, _, addr := openServed(t, filepath.Join(t.TempDir(), fmt.Sprintf("shard%d.odb", slot)), schema,
+			&ode.Options{ShardCount: len(sub), ShardSlot: slot}, nil, classes...)
+		err := db.RunTx(func(tx *ode.Tx) error {
+			for i := 0; i < n; i++ {
+				if _, err := tx.PNew(stock, item(stock, fmt.Sprint("item-", i), int64(i), 1)); err != nil {
+					return err
+				}
+			}
+			_, err := tx.PNew(classes[1+slot], nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, addr)
+	}
+	schema, stock := invSchema()
+	sh, err := client.DialSharded(addrs, schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	scan := &client.Scan{Class: stock, Subtypes: true, Batch: 16}
+	discard := func(ode.OID, *ode.Object) (bool, error) { return true, nil }
+
+	// Each shard's own error, from a scan of that shard alone.
+	shardErrs := make([]error, len(sub))
+	for i := range sub {
+		_ = sh.Shard(i).View(ctx, func(tx *client.Tx) error {
+			got, err := tx.Forall(scan, discard)
+			if got != n {
+				t.Errorf("shard %d: %d rows before the error, want %d", i, got, n)
+			}
+			shardErrs[i] = err
+			return nil
+		})
+		if shardErrs[i] == nil {
+			t.Fatalf("shard %d: the scan did not fail", i)
+		}
+	}
+	if shardErrs[0].Error() == shardErrs[1].Error() {
+		t.Fatalf("both shards fail alike: %v", shardErrs[0])
+	}
+	for round := 0; round < 5; round++ {
+		err := sh.View(ctx, func(tx *client.STx) error {
+			got, err := tx.Forall(scan, discard)
+			if err == nil || err.Error() != shardErrs[0].Error() {
+				t.Fatalf("round %d: scatter-gather error %v, want shard 0's %v", round, err, shardErrs[0])
+			}
+			if got < n {
+				t.Errorf("round %d: %d rows before the errors, want at least %d", round, got, n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
