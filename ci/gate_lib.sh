@@ -2,11 +2,12 @@
 # (ci/bench_gate.sh, ci/workload_gate.sh). Source it; do not execute.
 #
 # Both gates diff a machine-readable JSON report (an indented array of
-# flat row objects, as written by `ode-bench -json`) against a
-# committed baseline. The extraction is a line-oriented awk scan that
-# relies on Go marshaling struct fields in declaration order;
-# TestReportFieldOrder (internal/workload) and ci_test.go pin the
-# orders the scans assume, so the formats cannot drift silently.
+# row objects, as written by `ode-bench -json`) against a committed
+# baseline. The extraction is a line-oriented awk scan that relies on
+# Go marshaling struct fields in declaration order and finds a key at
+# any depth of a row (a mix row keeps `ops` in its `extra` map);
+# ci_test.go and TestRegistrySmoke (internal/bench) pin what the scans
+# assume, so the formats cannot drift silently.
 #
 # Baseline re-recording is one command per gate:
 #

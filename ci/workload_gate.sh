@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Workload gate: diff a macro-workload report (ode-bench -workload,
-# internal/workload) against the committed WORKLOAD_BASELINE.json.
+# Workload gate: diff a macro-workload report (ode-bench -workload: the
+# E17/E18 rows of internal/bench) against the committed
+# WORKLOAD_BASELINE.json.
 #
 #   ci/workload_gate.sh [REPORT.json]
 #

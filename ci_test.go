@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"ode/internal/workload"
+	"ode/internal/bench"
 )
 
 // These tests pin the contract between the JSON reports ode-bench
@@ -72,37 +72,50 @@ func TestGateRowBenchBaseline(t *testing.T) {
 	}
 }
 
-// TestGateRowWorkloadReport asserts ci/workload_gate.sh's extraction
-// path against a report built by the workload package itself: both
-// metrics the gate checks (ops_per_sec throughput, exact ops), row
-// selection by (workload, mode) when the same workload appears in both
-// transports, and empty output for a row that does not exist.
-func TestGateRowWorkloadReport(t *testing.T) {
-	reps := []*workload.Report{
-		{Workload: "points", Mode: "embedded", Seed: 1, Workers: 4, Short: true,
-			Ops: 4000, NsTotal: 196e6, NsPerOp: 49000, OpsPerSec: 20412.5,
-			OpCounts: map[string]int64{"deref.hot": 3200, "ops": 1}},
-		{Workload: "points", Mode: "remote", Seed: 1, Workers: 4, Short: true,
-			Ops: 4000, NsTotal: 312e6, NsPerOp: 78000, OpsPerSec: 12840.25,
-			OpCounts: map[string]int64{"deref.hot": 3200}},
-	}
-	buf, err := workload.EncodeReports(reps)
+// writeRows writes rows the way ode-bench -json does and returns the
+// file.
+func writeRows(t *testing.T, rows []bench.Row) string {
+	t.Helper()
+	buf, err := bench.EncodeRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(t.TempDir(), "report.json")
-	if err := os.WriteFile(file, buf, 0o644); err != nil {
+	f, err := os.CreateTemp(t.TempDir(), "rows-*.json")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
+}
 
+// mixRow is an E17 row with the extras a mix reports.
+func mixRow(wl, mode string, ops, opsPerSec float64) bench.Row {
+	return bench.Row{Experiment: "E17", Workload: wl, Mode: mode, NsPerOp: 49000, Workers: 4,
+		Extra: bench.Extra{"ops": ops, "ops_per_sec": opsPerSec, "op.deref.hot": 3200,
+			"ctr.txn.commits": 338, "p50_ns": 4000, "p90_ns": 16000, "p99_ns": 64000, "max_ns": 256000}}
+}
+
+// TestGateRowWorkloadReport asserts ci/workload_gate.sh's extraction
+// path against mix rows as ode-bench -json writes them: both metrics
+// the gate checks (ops_per_sec throughput, exact ops) sit in the row's
+// extra map, rows are selected by (workload, mode) when the same
+// workload appears in two transports, a row without a mode (E1–E16)
+// never matches, and a row that does not exist reads empty.
+func TestGateRowWorkloadReport(t *testing.T) {
+	file := writeRows(t, []bench.Row{
+		{Experiment: "E15", Workload: "points", NsPerOp: 7, Extra: bench.Extra{"ops": 1, "ops_per_sec": 1}},
+		mixRow("points", "embedded", 4000, 20412.5),
+		mixRow("points", "remote", 4000, 12840.25),
+	})
 	if got := gateRow(t, file, "ops_per_sec", "workload=points", "mode=embedded"); got != "20412.5" {
 		t.Errorf("embedded ops_per_sec = %q, want 20412.5", got)
 	}
 	if got := gateRow(t, file, "ops_per_sec", "workload=points", "mode=remote"); got != "12840.25" {
 		t.Errorf("remote ops_per_sec = %q, want 12840.25", got)
 	}
-	// The op_counts map deliberately carries a kind named "ops": the
-	// row-level metric must win because it marshals first.
 	if got := gateRow(t, file, "ops", "workload=points", "mode=embedded"); got != "4000" {
 		t.Errorf("embedded ops = %q, want 4000", got)
 	}
@@ -117,28 +130,11 @@ func TestGateRowWorkloadReport(t *testing.T) {
 // from the first run.
 func TestGateRecordMin(t *testing.T) {
 	mk := func(tps ...float64) string {
-		var reps []*workload.Report
+		var rows []bench.Row
 		for i, tp := range tps {
-			reps = append(reps, &workload.Report{
-				Workload: []string{"points", "bom"}[i], Mode: "embedded",
-				Seed: 1, Workers: 4, Short: true,
-				Ops: int64(1000 * (i + 1)), OpsPerSec: tp,
-				OpCounts: map[string]int64{"op": 1},
-			})
+			rows = append(rows, mixRow([]string{"points", "bom"}[i], "embedded", float64(1000*(i+1)), tp))
 		}
-		buf, err := workload.EncodeReports(reps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.CreateTemp(t.TempDir(), "rep-*.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := f.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		return f.Name()
+		return writeRows(t, rows)
 	}
 	r1 := mk(2000.5, 900)  // hot points sample
 	r2 := mk(1500.25, 950) // slowest points, fastest bom
@@ -151,13 +147,16 @@ func TestGateRecordMin(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("merged baseline has %d rows, want 2", len(rows))
 	}
+	extra := func(i int, key string) string {
+		return rows[i]["extra"].(map[string]any)[key].(json.Number).String()
+	}
 	for i, want := range []string{"1500.25", "900"} {
-		if got := rows[i]["ops_per_sec"].(json.Number).String(); got != want {
+		if got := extra(i, "ops_per_sec"); got != want {
 			t.Errorf("row %d ops_per_sec = %s, want %s (per-row min)", i, got, want)
 		}
 	}
 	// Non-throughput fields come from the first run.
-	if got := rows[0]["ops"].(json.Number).String(); got != "1000" {
+	if got := extra(0, "ops"); got != "1000" {
 		t.Errorf("row 0 ops = %s, want 1000 (from first report)", got)
 	}
 	// And the gate's own extractor still reads the merged file.
@@ -186,9 +185,10 @@ func TestGateRowWorkloadBaseline(t *testing.T) {
 }
 
 // TestWorkloadGateSingleCPU runs ci/workload_gate.sh on a faked 1-CPU
-// host (a PATH shim whose nproc prints 1): the throughput check skips,
-// but the deterministic op-count check still runs and still fails on a
-// drifted count.
+// host (a PATH shim whose nproc prints 1) over mix rows carrying the
+// committed baseline's op counts: the throughput check skips, but the
+// deterministic op-count check still runs and still fails on a drifted
+// count.
 func TestWorkloadGateSingleCPU(t *testing.T) {
 	dir := t.TempDir()
 	shim := filepath.Join(dir, "nproc")
@@ -201,10 +201,19 @@ func TestWorkloadGateSingleCPU(t *testing.T) {
 		out, err := cmd.CombinedOutput()
 		return string(out), err
 	}
+	report := func(drift float64) string {
+		var rows []bench.Row
+		for _, r := range decodeRows(t, "WORKLOAD_BASELINE.json") {
+			ops, _ := r["ops"].(json.Number).Float64()
+			rows = append(rows, mixRow(r["workload"].(string), r["mode"].(string), ops+drift, 1))
+			drift = 0
+		}
+		return writeRows(t, rows)
+	}
 
-	out, err := gate("WORKLOAD_BASELINE.json")
+	out, err := gate(report(0))
 	if err != nil {
-		t.Fatalf("gate on the baseline itself: %v\n%s", err, out)
+		t.Fatalf("gate on rows with the baseline's op counts: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "ops (deterministic)") {
 		t.Fatalf("1-CPU gate ran no op-count check:\n%s", out)
@@ -212,23 +221,7 @@ func TestWorkloadGateSingleCPU(t *testing.T) {
 	if strings.Contains(out, "ops/s") {
 		t.Fatalf("1-CPU gate ran the throughput check:\n%s", out)
 	}
-
-	base, err := os.ReadFile("WORKLOAD_BASELINE.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := decodeRows(t, "WORKLOAD_BASELINE.json")
-	ops := rows[0]["ops"].(json.Number).String()
-	old := `"ops": ` + ops + `,`
-	if !strings.Contains(string(base), old) {
-		t.Fatalf("baseline has no line %q", old)
-	}
-	drifted := filepath.Join(dir, "drifted.json")
-	bad := strings.Replace(string(base), old, `"ops": 1`+ops+`,`, 1)
-	if err := os.WriteFile(drifted, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := gate(drifted); err == nil || !strings.Contains(out, "op count") {
+	if out, err := gate(report(1)); err == nil || !strings.Contains(out, "op count") {
 		t.Fatalf("gate on a drifted op count: err=%v, want an op-count failure\n%s", err, out)
 	}
 }

@@ -37,19 +37,15 @@ import (
 	"ode/internal/wire"
 )
 
+// idlePool bounds the idle-connection pool. Demand beyond it dials new
+// connections; surplus connections are closed on release instead of
+// pooled.
+const idlePool = 4
+
 // Options configures a Client.
 type Options struct {
-	// PoolSize bounds the idle-connection pool (default 4). Demand
-	// beyond the pool dials new connections; surplus connections are
-	// closed on release instead of pooled.
-	PoolSize int
 	// DialTimeout bounds connect plus handshake (default 5s).
 	DialTimeout time.Duration
-	// TxDeadline is sent with Begin when the context carries no
-	// deadline; zero defers to the server's MaxDeadline policy.
-	TxDeadline time.Duration
-	// MaxFrame bounds one response frame (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// CacheSize bounds the decoded-object cache in objects (default
 	// 4096; negative disables caching). Cached objects are tagged with
 	// the content hash of their encoded image; a deref revalidates the
@@ -65,14 +61,8 @@ func (o *Options) withDefaults() Options {
 	if o != nil {
 		out = *o
 	}
-	if out.PoolSize <= 0 {
-		out.PoolSize = 4
-	}
 	if out.DialTimeout <= 0 {
 		out.DialTimeout = 5 * time.Second
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
 	}
 	if out.CacheSize == 0 {
 		out.CacheSize = 4096
@@ -168,7 +158,7 @@ func (c *Client) dial() (*wconn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	br := bufio.NewReader(nc)
-	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, c.opts.MaxFrame)}, nil
+	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, wire.DefaultMaxFrame)}, nil
 }
 
 // get returns an idle connection or dials a new one.
@@ -196,7 +186,7 @@ func (c *Client) put(cn *wconn) {
 		return
 	}
 	c.mu.Lock()
-	if c.closed || len(c.idle) >= c.opts.PoolSize {
+	if c.closed || len(c.idle) >= idlePool {
 		c.mu.Unlock()
 		cn.nc.Close()
 		return
@@ -278,10 +268,10 @@ func (c *Client) View(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 // Begin opens a remote transaction pinned to one pooled connection.
-// The context's deadline (or Options.TxDeadline when it has none)
-// travels to the server and bounds the transaction there — lock
-// waits, scans, and commit observe it server-side; the same context
-// also bounds every round trip client-side.
+// The context's deadline travels to the server and bounds the
+// transaction there — lock waits, scans, and commit observe it
+// server-side; the same context also bounds every round trip
+// client-side. Without one, the server's MaxDeadline policy applies.
 func (c *Client) Begin(ctx context.Context) (*Tx, error) {
 	cn, err := c.get()
 	if err != nil {
@@ -295,8 +285,6 @@ func (c *Client) Begin(ctx context.Context) (*Tx, error) {
 			return nil, fmt.Errorf("%w: %v", ode.ErrTxTimeout, context.DeadlineExceeded)
 		}
 		ms = uint64((left + time.Millisecond - 1) / time.Millisecond)
-	} else if c.opts.TxDeadline > 0 {
-		ms = uint64(c.opts.TxDeadline / time.Millisecond)
 	}
 	resp, err := cn.roundTrip(ctx, wire.CmdBegin, wire.AppendUvarint(nil, ms))
 	if err != nil {

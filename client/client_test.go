@@ -180,3 +180,47 @@ func TestClientDialFailure(t *testing.T) {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
+
+// TestPipelineMixedOps queues an update, reads and a delete in one
+// batch: each future resolves on its own, and a deref of the object
+// deleted earlier in the same batch fails alone.
+func TestPipelineMixedOps(t *testing.T) {
+	c, cls := startServer(t)
+	schema, _ := gadgetSchema()
+	err := c.RunTx(context.Background(), func(tx *client.Tx) error {
+		p := tx.Pipeline()
+		fa, fb := p.PNew(cls, gadget(cls, "a", 1)), p.PNew(cls, gadget(cls, "b", 2))
+		if err := p.Flush(); err != nil {
+			return err
+		}
+		a, err := fa.OID()
+		if err != nil {
+			return err
+		}
+		b, err := fb.OID()
+		if err != nil {
+			return err
+		}
+		up, readA, del, readB := p.Update(a, gadget(cls, "a", 10)), p.Deref(a), p.PDelete(b), p.Deref(b)
+		if p.Len() != 4 {
+			t.Errorf("Len = %d queued, want 4", p.Len())
+		}
+		if err := p.Flush(); err != nil {
+			return err
+		}
+		if up.Err() != nil || del.Err() != nil {
+			t.Errorf("update err %v, delete err %v", up.Err(), del.Err())
+		}
+		o, err := readA.Object(schema)
+		if err != nil || o.MustGet("qty").Int() != 10 {
+			t.Errorf("deref after pipelined update: %v, %v", o, err)
+		}
+		if _, err := readB.Object(schema); err == nil {
+			t.Error("deref of an object deleted earlier in the batch succeeded")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

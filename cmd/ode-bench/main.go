@@ -1,16 +1,23 @@
 // ode-bench runs the experiment registry of internal/bench (DESIGN.md
-// §5, EXPERIMENTS.md: E1–E16 and the ablations) and prints one table
+// §5, EXPERIMENTS.md: E1–E18 and the ablations) and prints one table
 // per experiment. The source paper is a design paper without measured
 // tables, so each experiment regenerates a worked example or
 // quantifies a performance claim; the tables here are the rows
 // EXPERIMENTS.md records. -run selects experiments by id, -quick
-// divides every size by 10, and E14's load is fixed: 32 writers
-// against 4 admission slots under a 50 ms deadline.
+// divides every size by 10 (the macro workload mixes of E17 and E18
+// take their CI sizes), and E14's load is fixed: 32 writers against 4
+// admission slots under a 50 ms deadline.
 //
 // Usage:
 //
-//	ode-bench [-quick] [-run E3,E7] [-http :8080] [-workers N] [-json FILE]
+//	ode-bench [-quick] [-run E3,E7] [-http :8080] [-workers N] [-seed N] [-json FILE]
+//	ode-bench -workload all|points,bom [-loopback | -connect ADDR | -loopback-shards N | -connect-shards A,B] ...
 //	ode-bench -faults [-seed N] [-rounds N] [-ops N] [-dir DIR] [-cancel]
+//
+// -workload runs only the named mixes' cases of E17 (embedded; with
+// -loopback also remote through an in-process server; with -connect
+// remote only) or, with a shard flag, of E18. Their rows are the ones
+// ci/workload_gate.sh checks against WORKLOAD_BASELINE.json.
 //
 // With -http, the engine metrics of the world currently under
 // measurement are published as expvar at /debug/vars (key "ode",
@@ -31,7 +38,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -44,11 +51,11 @@ import (
 
 var (
 	quick   = flag.Bool("quick", false, "smaller workloads (CI-sized)")
-	workers = flag.Int("workers", runtime.GOMAXPROCS(0),
-		"max worker count for the multi-core experiment (E13)")
+	workers = flag.Int("workers", 0,
+		"largest worker count of the multi-core experiment E13 (0: GOMAXPROCS), and the worker count of the E17/E18 mixes (0: 4)")
 
 	faults      = flag.Bool("faults", false, "run the crash-recovery torture suite instead of the experiments")
-	faultSeed   = flag.Int64("seed", 0, "torture PRNG seed (0: derive from the clock and print it)")
+	faultSeed   = flag.Int64("seed", 0, "PRNG seed of the torture suite (0: derive from the clock and print it) and of the E17/E18 mixes (0: 1)")
 	faultRounds = flag.Int("rounds", 0, "torture crash/recover rounds (0: suite default)")
 	faultOps    = flag.Int("ops", 0, "torture operations per round (0: suite default)")
 	faultDir    = flag.String("dir", "", "torture store directory (default: a temp dir, removed on success)")
@@ -56,16 +63,16 @@ var (
 		"torture: also drive cancellation/timeout/overload traffic against a governed store (docs/TESTING.md)")
 
 	connectAddr = flag.String("connect", "",
-		"E15: measure against this remote ode-server (started with -bench-schema) instead of an in-process loopback server")
+		"E15 and E17: measure remotely against this ode-server (started with -bench-schema) instead of an in-process loopback server; with -workload, only the remote rows run")
 
 	workloadNames = flag.String("workload", "",
-		"run the macro workload suite instead of the experiments: comma-separated mix names, or 'all' (docs/TESTING.md); -seed/-workers/-quick apply; with -connect the mixes run against that server, with -loopback both embedded and loopback-remote rows are produced")
+		"run only the macro workload mixes of E17/E18: comma-separated mix names, or 'all' (docs/TESTING.md); embedded rows unless -loopback, -connect or a shard flag picks the transport")
 	loopback = flag.Bool("loopback", false,
 		"workload mode: follow the embedded rows with remote rows through an in-process server (baseline recording)")
 	connectShards = flag.String("connect-shards", "",
-		"workload mode: comma-separated shard server addresses; the remote-capable mixes run through the sharding router (scatter-gather scans, 2PC commits)")
+		"E18: comma-separated shard server addresses for the sharding router (scatter-gather scans, 2PC commits); with -workload, only the sharded rows run")
 	loopbackShards = flag.Int("loopback-shards", 0,
-		"workload mode: boot N in-process shard servers and run the remote-capable mixes through the router (how BENCH_4.json is recorded)")
+		"E18: boot N in-process shard servers (default 2); with -workload and N > 1, only the sharded rows run (how BENCH_4.json is recorded)")
 )
 
 // liveDB is the most recently opened benchmark database; the expvar
@@ -79,9 +86,6 @@ func main() {
 	flag.Parse()
 	if *faults {
 		os.Exit(runFaults())
-	}
-	if *workloadNames != "" {
-		os.Exit(runWorkloads(*jsonPath))
 	}
 	if *httpAddr != "" {
 		bench.OnOpen = func(db *ode.DB) { liveDB.Store(db) }
@@ -112,17 +116,34 @@ func main() {
 		fmt.Printf("serving metrics on %s/metrics (JSON) and /debug/vars (expvar)\n", *httpAddr)
 	}
 
+	filter, shards := *runFilter, []string(nil)
+	switch {
+	case *connectShards != "":
+		shards = strings.Split(*connectShards, ",")
+	case *loopbackShards > 1:
+		shards = make([]string, *loopbackShards) // empty: in-process shards
+	}
+	if *workloadNames != "" {
+		filter = "E17"
+		if shards != nil {
+			filter = "E18"
+		}
+	}
 	var rows []bench.Row
 	for _, e := range bench.Experiments() {
-		if !selected(*runFilter, e.ID) {
+		if !selected(filter, e.ID) {
 			continue
 		}
 		fmt.Printf("\n== %s: %s ==\n", e.ID, e.Title)
-		err := e.Run(bench.Driver{Short: *quick, Workers: *workers, Connect: *connectAddr,
+		err := e.Run(bench.Driver{Short: *quick, Workers: *workers, Seed: *faultSeed,
+			Connect: *connectAddr, Shards: shards,
 			Measure: func(c bench.Case) error {
+				if !wanted(c) {
+					return nil
+				}
 				row, err := c.Row(e.ID, c.Reps)
 				if err != nil {
-					return fmt.Errorf("%s: %w", c.Name, err)
+					return fmt.Errorf("%s: %w", c.Label(), err)
 				}
 				fmt.Println("  " + row.String())
 				rows = append(rows, row)
@@ -131,6 +152,12 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
+		}
+	}
+	for _, name := range strings.FieldsFunc(*workloadNames, func(r rune) bool { return r == ',' }) {
+		if name != "all" && !slices.ContainsFunc(rows, func(r bench.Row) bool { return selected(name, r.Workload) }) {
+			fmt.Fprintf(os.Stderr, "ode-bench: workload %q has no %s case in this transport\n", name, filter)
+			os.Exit(2)
 		}
 	}
 	if *jsonPath != "" {
@@ -159,6 +186,25 @@ func selected(filter, id string) bool {
 		}
 	}
 	return false
+}
+
+// wanted reports whether case c runs: every case without -workload;
+// with it, the named mixes (or all) in the transport the flags pick
+// (E18's sharded cases only run when a shard flag selected E18).
+func wanted(c bench.Case) bool {
+	if *workloadNames == "" {
+		return true
+	}
+	if *workloadNames != "all" && !selected(*workloadNames, c.Name) {
+		return false
+	}
+	switch c.Mode {
+	case "embedded":
+		return *connectAddr == ""
+	case "remote":
+		return *connectAddr != "" || *loopback
+	}
+	return true
 }
 
 // runFaults is the -faults mode: one torture run, reproducible from

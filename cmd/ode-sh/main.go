@@ -93,7 +93,6 @@ func main() {
 		if err := sess.Close(); err != nil {
 			fatal(err)
 		}
-		db.Triggers().Wait()
 		return
 	}
 
@@ -125,7 +124,6 @@ func main() {
 		if err := sess.Exec(src); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
-		db.Triggers().Wait()
 		if errs := db.Triggers().Errors(); len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintln(os.Stderr, "trigger error:", e)
@@ -135,7 +133,6 @@ func main() {
 	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
-	db.Triggers().Wait()
 }
 
 // remote runs scripts (or the REPL) against an ode-server daemon. The

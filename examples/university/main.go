@@ -214,7 +214,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db.Triggers().Wait()
 	db.View(func(tx *ode.Tx) error {
 		o, err := tx.Deref(needy)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -293,7 +294,6 @@ func e10(r *run) {
 		return id
 	}
 	fires := func(oid ode.OID) (n int) {
-		svc.Wait()
 		view(db, func(tx *ode.Tx) error {
 			o, err := tx.Deref(oid)
 			if err == nil {
@@ -357,7 +357,7 @@ func e11(r *run) {
 // repair-on-open and verify every object survived.
 func e12(r *run) {
 	for _, n := range []int{r.n(5000), r.n(20000)} {
-		r.whole(fmt.Sprintf("crash with %d objects in WAL recover+verify", n), 0, func() (time.Duration, Extra) {
+		r.whole(Case{Name: fmt.Sprintf("crash with %d objects in WAL recover+verify", n)}, func() (time.Duration, Extra) {
 			dir, err := os.MkdirTemp("", "ode-bench")
 			check(err)
 			defer os.RemoveAll(dir)
@@ -384,19 +384,23 @@ func e12(r *run) {
 }
 
 // e13: one cluster scan partitioned across 1..Workers goroutines, and
-// concurrent derefs of a cache-resident hot set sharing one read
-// transaction (time per deref across all goroutines).
+// concurrent derefs of a cache-resident hot set, each goroutine in a
+// read transaction of its own (time per deref across all goroutines).
 func e13(r *run) {
 	n := r.n(50000)
 	w := r.world(nil)
 	oids := loadStock(w, n)
 	hot := oids[:min(len(oids), 4000)]
+	maxW := r.Workers
+	if maxW <= 0 {
+		maxW = runtime.GOMAXPROCS(0)
+	}
 	counts := []int{1}
-	for nw := 2; nw < r.Workers; nw *= 2 {
+	for nw := 2; nw < maxW; nw *= 2 {
 		counts = append(counts, nw)
 	}
-	if r.Workers > 1 {
-		counts = append(counts, r.Workers)
+	if maxW > 1 {
+		counts = append(counts, maxW)
 	}
 	sweep := func(name string, reps int, op func(nw, reps int) (time.Duration, Extra)) {
 		var base time.Duration
@@ -434,25 +438,24 @@ func e13(r *run) {
 		perG := r.n(200000) / nw
 		st0 := w.DB.Stats()
 		d := timeIt(reps, func() {
-			view(w.DB, func(tx *ode.Tx) error {
-				errc := make(chan error, nw)
-				var wg sync.WaitGroup
-				for g := 0; g < nw; g++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
+			// A transaction is not safe for concurrent use: each
+			// goroutine reads in its own.
+			errc := make(chan error, nw)
+			for g := 0; g < nw; g++ {
+				go func(i int) {
+					errc <- w.DB.View(func(tx *ode.Tx) error {
 						for k := 0; k < perG; k, i = k+1, i+1 {
 							if _, err := tx.Deref(hot[i%len(hot)]); err != nil {
-								errc <- err
-								return
+								return err
 							}
 						}
-					}(g * 7919)
-				}
-				wg.Wait()
-				close(errc)
-				return <-errc
-			})
+						return nil
+					})
+				}(g * 7919)
+			}
+			for g := 0; g < nw; g++ {
+				check(<-errc)
+			}
 		})
 		st := w.DB.Stats()
 		x := Extra{}
@@ -470,7 +473,7 @@ func e13(r *run) {
 func e14(r *run) {
 	offered, perG := govSlots*govOverload, max(r.n(200), 20)
 	burst := func(name string, opts *ode.Options) {
-		r.whole(name, 0, func() (time.Duration, Extra) { return governedBurst(opts, offered, perG) })
+		r.whole(Case{Name: name}, func() (time.Duration, Extra) { return governedBurst(opts, offered, perG) })
 	}
 	burst("ungoverned", &ode.Options{NoSync: true})
 	burst(fmt.Sprintf("governed slots=%d queue=none", govSlots),
@@ -674,11 +677,11 @@ func e16(r *run) {
 	txs := max(r.n(60), 8)
 	for _, nw := range []int{1, 4, 8} {
 		var serial time.Duration
-		r.whole(fmt.Sprintf("tx%d pnew serial-fsync", batch), nw, func() (time.Duration, Extra) {
+		r.whole(Case{Name: fmt.Sprintf("tx%d pnew serial-fsync", batch), Workers: nw}, func() (time.Duration, Extra) {
 			serial, _ = committers(nw, txs, batch, true)
 			return serial, nil
 		})
-		r.whole(fmt.Sprintf("tx%d pnew group-commit", batch), nw, func() (time.Duration, Extra) {
+		r.whole(Case{Name: fmt.Sprintf("tx%d pnew group-commit", batch), Workers: nw}, func() (time.Duration, Extra) {
 			d, st := committers(nw, txs, batch, false)
 			x := Extra{}
 			if serial > 0 {

@@ -3,14 +3,15 @@
 // has no quantitative evaluation section (it is a language and
 // data-model design paper), so each experiment regenerates one of its
 // worked examples (WE) or quantifies one of its performance claims
-// (PC); E12–E16 and the two ablations measure the substrate.
+// (PC); E12–E18 and the two ablations measure the substrate, E17 and
+// E18 with the macro workload mixes (mixes.go).
 //
 // Every experiment is defined once, in Experiments, as a list of named
 // cases: untimed setup, a timed op and the op's correctness check. Two
 // thin drivers run the list: BenchmarkExperiments in bench_test.go
 // (`go test -bench 'Experiments/E3'`) and cmd/ode-bench, which prints
 // the rows as tables and, with -json, in the row schema of
-// BENCH_1–3.json that ci/bench_gate.sh scans.
+// BENCH_1–5.json that ci/bench_gate.sh and ci/workload_gate.sh scan.
 package bench
 
 import (
@@ -28,7 +29,7 @@ type Experiment struct {
 	body      func(r *run)
 }
 
-// Experiments returns the registry in run order: E1–E16, then the
+// Experiments returns the registry in run order: E1–E18, then the
 // ablations. Nothing runs until a driver calls Run.
 func Experiments() []Experiment {
 	return []Experiment{
@@ -48,6 +49,8 @@ func Experiments() []Experiment {
 		{"E14", "resource governance: admission control, deadlines, bounded WAL", e14},
 		{"E15", "network server: embedded vs remote wire protocol", e15},
 		{"E16", "commit & wire fast paths: group commit, client object cache", e16},
+		{"E17", "macro workload mixes, embedded and remote, and larger-than-RAM churn", e17},
+		{"E18", "macro workload mixes through the sharding router (scatter-gather, 2PC)", e18},
 		{"BufferPoolSweep", "ablation: buffer pool size vs extent scan", bufferPoolSweep},
 		{"CommitDurability", "ablation: fsync per commit vs NoSync", commitDurability},
 	}
@@ -56,9 +59,15 @@ func Experiments() []Experiment {
 // Driver runs experiments: it supplies the run's settings and
 // measures each case the experiment declares.
 type Driver struct {
-	Short   bool   // divide every size by 10 (ode-bench -quick, go test -short)
-	Workers int    // largest worker count of E13's sweeps
-	Connect string // E15's remote ode-server address ("": in-process loopback)
+	Short bool // divide every size by 10 (ode-bench -quick, go test -short); the mixes' CI sizes
+	// Workers is the largest worker count of E13's sweeps (0:
+	// GOMAXPROCS) and the worker count of the E17/E18 mixes (0: 4).
+	Workers int
+	Seed    int64  // the mixes' PRNG seed (0: 1); their op counts are a pure function of it
+	Connect string // E15's and E17's remote ode-server address ("": in-process loopback)
+	// Shards are E18's shard server addresses, in shard order; an empty
+	// address boots an in-process shard (nil: two).
+	Shards []string
 	// Measure runs one case, in declaration order, and records its
 	// result. An error aborts the experiment.
 	Measure func(c Case) error
@@ -67,6 +76,7 @@ type Driver struct {
 // Case is one named measurement of an experiment.
 type Case struct {
 	Name    string // the row's workload name
+	Mode    string // a mix's transport: embedded, remote or sharded-N
 	Workers int    // concurrent workers, 0 when not applicable
 	Reps    int    // ops ode-bench times; go test uses b.N instead
 	// Measure runs the op reps times, after any untimed per-run setup,
@@ -75,10 +85,14 @@ type Case struct {
 }
 
 // Label names the case in tables and sub-benchmark names: the row
-// name, plus its worker count when the name does not carry it.
-func (c Case) Label() string { return label(c.Name, c.Workers) }
+// name, its mode when it has one, and its worker count when the name
+// does not carry it.
+func (c Case) Label() string { return label(c.Name, c.Mode, c.Workers) }
 
-func label(name string, workers int) string {
+func label(name, mode string, workers int) string {
+	if mode != "" {
+		name += " " + mode
+	}
 	if workers > 0 && !strings.Contains(name, "workers=") {
 		return fmt.Sprintf("%s workers=%d", name, workers)
 	}
@@ -88,17 +102,21 @@ func label(name string, workers int) string {
 // Row measures c with reps ops and returns the row of experiment id.
 func (c Case) Row(id string, reps int) (Row, error) {
 	d, x, err := c.Measure(reps)
-	return Row{Experiment: id, Workload: c.Name, NsPerOp: d.Nanoseconds(), Workers: c.Workers, Extra: x}, err
+	return Row{Experiment: id, Workload: c.Name, Mode: c.Mode, NsPerOp: d.Nanoseconds(), Workers: c.Workers, Extra: x}, err
 }
 
-// Extra holds a row's metrics beyond ns/op: counters, speedups.
+// Extra holds a row's metrics beyond ns/op: counters, speedups. A mix
+// row carries ops, ops_per_sec, p50_ns, p90_ns, p99_ns, max_ns, one
+// op.<kind> count per op kind and ctr.<name> counter deltas.
 type Extra map[string]float64
 
 // Row is one measured value, in the row schema `ode-bench -json`
-// writes and ci/gate_lib.sh scans (BENCH_1–3.json).
+// writes and ci/gate_lib.sh scans (BENCH_1–5.json). Mode follows
+// Workload: ci/workload_gate.sh reads the pair in that order.
 type Row struct {
 	Experiment string `json:"experiment"`
 	Workload   string `json:"workload"`
+	Mode       string `json:"mode,omitempty"`
 	NsPerOp    int64  `json:"ns_per_op"`
 	Workers    int    `json:"workers,omitempty"`
 	Extra      Extra  `json:"extra,omitempty"`
@@ -113,10 +131,12 @@ func (r Row) String() string {
 		d = d.Round(time.Microsecond)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-44s %12s", label(r.Workload, r.Workers), d)
+	fmt.Fprintf(&b, "%-44s %12s", label(r.Workload, r.Mode, r.Workers), d)
 	keys := make([]string, 0, len(r.Extra))
 	for k := range r.Extra {
-		keys = append(keys, k)
+		if !strings.HasPrefix(k, "ctr.") { // counter deltas are in the JSON only
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
@@ -141,11 +161,7 @@ func EncodeRows(rows []Row) ([]byte, error) {
 // before Run returns.
 func (e Experiment) Run(d Driver) error {
 	r := &run{Driver: d}
-	defer func() {
-		for i := len(r.cleanups) - 1; i >= 0; i-- {
-			r.cleanups[i]()
-		}
-	}()
+	defer r.unwind(0)
 	return catch(func() { e.body(r) })
 }
 
@@ -190,8 +206,24 @@ func catch(fn func()) (err error) {
 	return nil
 }
 
-// cleanup registers fn to run when the experiment ends.
+// cleanup registers fn to run when the experiment ends, or when the
+// scoped call that registered it returns.
 func (r *run) cleanup(fn func()) { r.cleanups = append(r.cleanups, fn) }
+
+// scoped runs fn, then the cleanups fn registered, last first.
+func (r *run) scoped(fn func()) {
+	defer r.unwind(len(r.cleanups))
+	fn()
+}
+
+// unwind runs the cleanups past the first mark of them, last first.
+func (r *run) unwind(mark int) {
+	for len(r.cleanups) > mark {
+		last := r.cleanups[len(r.cleanups)-1]
+		r.cleanups = r.cleanups[:len(r.cleanups)-1]
+		last()
+	}
+}
 
 // n scales a full size to the run.
 func (r *run) n(size int) int {
@@ -203,11 +235,15 @@ func (r *run) n(size int) int {
 
 // timed declares a case whose measure times itself.
 func (r *run) timed(name string, workers, reps int, measure func(reps int) (time.Duration, Extra)) {
-	check(r.Measure(Case{Name: name, Workers: workers, Reps: reps,
-		Measure: func(reps int) (d time.Duration, x Extra, err error) {
-			err = catch(func() { d, x = measure(reps) })
-			return d, x, err
-		}}))
+	r.declare(Case{Name: name, Workers: workers, Reps: reps}, measure)
+}
+
+func (r *run) declare(c Case, measure func(reps int) (time.Duration, Extra)) {
+	c.Measure = func(reps int) (d time.Duration, x Extra, err error) {
+		err = catch(func() { d, x = measure(reps) })
+		return d, x, err
+	}
+	check(r.Measure(c))
 }
 
 // op declares a case whose op is repeated reps times and timed as a
@@ -216,11 +252,12 @@ func (r *run) op(name string, reps int, op func()) {
 	r.timed(name, 0, reps, func(reps int) (time.Duration, Extra) { return timeIt(reps, op), nil })
 }
 
-// whole declares a case whose op is one complete run that times
-// itself (a concurrent burst, a crash and recovery): reps runs are
-// averaged and the last run's extras reported.
-func (r *run) whole(name string, workers int, once func() (time.Duration, Extra)) {
-	r.timed(name, workers, 1, func(reps int) (time.Duration, Extra) {
+// whole declares c as a case whose op is one complete run that times
+// itself (a concurrent burst, a crash and recovery, a workload mix):
+// reps runs are averaged and the last run's extras reported.
+func (r *run) whole(c Case, once func() (time.Duration, Extra)) {
+	c.Reps = 1
+	r.declare(c, func(reps int) (time.Duration, Extra) {
 		var total time.Duration
 		var x Extra
 		for i := 0; i < reps; i++ {

@@ -132,7 +132,7 @@ func (w *World) Close() {
 // LoadStock inserts n stockitems with qty = i and price i/100, batching
 // commits.
 func (w *World) LoadStock(n int) ([]ode.OID, error) {
-	return w.batchInsert(n, func(tx *ode.Tx, i int) (ode.OID, error) {
+	return batchInsert(NewEmbeddedStore(w), n, 1000, func(tx Tx, i int) (ode.OID, error) {
 		o := ode.NewObject(w.Stock)
 		o.MustSet("name", ode.Str(fmt.Sprintf("item-%07d", i)))
 		o.MustSet("price", ode.Float(float64(i)/100))
@@ -145,7 +145,7 @@ func (w *World) LoadStock(n int) ([]ode.OID, error) {
 // LoadPersons inserts persons/students/faculty in ratio 2:1:1 with
 // income = i.
 func (w *World) LoadPersons(n int) ([]ode.OID, error) {
-	return w.batchInsert(n, func(tx *ode.Tx, i int) (ode.OID, error) {
+	return batchInsert(NewEmbeddedStore(w), n, 1000, func(tx Tx, i int) (ode.OID, error) {
 		var c *ode.Class
 		switch i % 4 {
 		case 0, 1:
@@ -169,43 +169,56 @@ func (w *World) LoadPersons(n int) ([]ode.OID, error) {
 	})
 }
 
-// LoadChain builds a linked list of n cells (value = position) and
-// returns the head: the CODASYL-style structure the paper's iterators
-// replace.
-func (w *World) LoadChain(n int) (ode.OID, error) {
-	var head ode.OID // built back-to-front
-	err := w.DB.RunTx(func(tx *ode.Tx) error {
-		next := ode.NilOID
-		for i := n - 1; i >= 0; i-- {
-			o := ode.NewObject(w.Cell)
-			o.MustSet("value", ode.Int(int64(i)))
-			o.MustSet("next", ode.Ref(next))
-			oid, err := tx.PNew(w.Cell, o)
-			if err != nil {
-				return err
+// LoadChain builds a linked list of n cells (value = position) in one
+// transaction and returns the head: the CODASYL-style structure the
+// paper's iterators replace.
+func (w *World) LoadChain(n int) (ode.OID, error) { return loadChain(NewEmbeddedStore(w), n, n) }
+
+// loadChain builds the chain through s, back to front so each cell's
+// next ref is already persistent, batch cells per transaction.
+func loadChain(s Store, n, batch int) (ode.OID, error) {
+	cell, head := s.World().Cell, ode.NilOID
+	for built := 0; built < n; built += batch {
+		end := min(built+batch, n)
+		err := s.RunTx(func(tx Tx) error {
+			for i := built; i < end; i++ {
+				o := ode.NewObject(cell)
+				o.MustSet("value", ode.Int(int64(n-1-i)))
+				o.MustSet("next", ode.Ref(head))
+				oid, err := tx.PNew(cell, o)
+				if err != nil {
+					return err
+				}
+				head = oid
 			}
-			next = oid
+			return nil
+		})
+		if err != nil {
+			return ode.NilOID, err
 		}
-		head = next
-		return nil
-	})
-	return head, err
+	}
+	return head, nil
 }
 
-// LoadPartDAG builds a part DAG with the given depth and fanout:
-// level 0 is the root; each part at level d < depth has `fanout`
-// children chosen from level d+1 (levels have width `width`). Returns
-// the root.
+// LoadPartDAG builds a part DAG with the given depth and fanout in one
+// transaction: level 0 is the root; each part at level d < depth has
+// `fanout` children chosen from level d+1 (levels have width `width`).
+// Returns the root and the part count.
 func (w *World) LoadPartDAG(depth, width, fanout int, seed int64) (ode.OID, int, error) {
+	return loadPartDAG(NewEmbeddedStore(w), depth, width, fanout, seed)
+}
+
+func loadPartDAG(s Store, depth, width, fanout int, seed int64) (ode.OID, int, error) {
 	r := rand.New(rand.NewSource(seed))
+	part := s.World().Part
 	var root ode.OID
 	total := 0
-	err := w.DB.RunTx(func(tx *ode.Tx) error {
+	err := s.RunTx(func(tx Tx) error {
 		mk := func(name string) (ode.OID, error) {
-			o := ode.NewObject(w.Part)
+			o := ode.NewObject(part)
 			o.MustSet("name", ode.Str(name))
 			total++
-			return tx.PNew(w.Part, o)
+			return tx.PNew(part, o)
 		}
 		levels := make([][]ode.OID, depth+1)
 		var err error
@@ -259,7 +272,7 @@ func (w *World) LoadEmpDept(nEmp, nDept int) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.batchInsert(nEmp, func(tx *ode.Tx, i int) (ode.OID, error) {
+	_, err = batchInsert(NewEmbeddedStore(w), nEmp, 1000, func(tx Tx, i int) (ode.OID, error) {
 		o := ode.NewObject(w.Emp)
 		o.MustSet("name", ode.Str(fmt.Sprintf("emp-%06d", i)))
 		o.MustSet("deptno", ode.Int(int64(i%nDept)))
@@ -269,16 +282,13 @@ func (w *World) LoadEmpDept(nEmp, nDept int) error {
 	return err
 }
 
-// batchInsert runs fn n times in batches of 1000 per transaction.
-func (w *World) batchInsert(n int, fn func(tx *ode.Tx, i int) (ode.OID, error)) ([]ode.OID, error) {
+// batchInsert runs fn n times through s, batch calls per transaction,
+// and returns the OIDs fn made.
+func batchInsert(s Store, n, batch int, fn func(tx Tx, i int) (ode.OID, error)) ([]ode.OID, error) {
 	oids := make([]ode.OID, 0, n)
-	const batch = 1000
 	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		err := w.DB.RunTx(func(tx *ode.Tx) error {
+		end := min(start+batch, n)
+		err := s.RunTx(func(tx Tx) error {
 			for i := start; i < end; i++ {
 				oid, err := fn(tx, i)
 				if err != nil {

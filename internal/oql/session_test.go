@@ -38,7 +38,6 @@ func tryRun(t *testing.T, src string) (string, error) {
 	if err := sess.Close(); err != nil {
 		return buf.String(), err
 	}
-	db.Triggers().Wait()
 	return buf.String(), nil
 }
 

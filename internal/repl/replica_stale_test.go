@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"path/filepath"
@@ -115,5 +116,77 @@ func TestReplicaRejectsStaleEpochFrame(t *testing.T) {
 	}
 	if db.Epoch() != 1 {
 		t.Fatalf("local epoch changed: %d, want 1", db.Epoch())
+	}
+}
+
+// TestReplicaRejectsOversizedFrame: a stream frame whose length header
+// exceeds wire.DefaultMaxFrame ends the connection before any body is
+// read, instead of the replica buffering it.
+func TestReplicaRejectsOversizedFrame(t *testing.T) {
+	schema := ode.NewSchema()
+	ode.NewClass("stockitem").Field("name", ode.TString).Register(schema)
+	db, err := ode.Open(filepath.Join(t.TempDir(), "r.odb"), schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	// A fake primary: accepts the subscription, then announces a frame
+	// one byte over the bound and waits for the replica to hang up.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan error, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			hungUp <- err
+			return
+		}
+		defer nc.Close()
+		if _, _, err := wire.ReadHello(nc); err != nil {
+			hungUp <- err
+			return
+		}
+		if err := wire.WriteHello(nc, wire.Version, 0); err != nil {
+			hungUp <- err
+			return
+		}
+		br := bufio.NewReader(nc)
+		f, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			hungUp <- err
+			return
+		}
+		req, err := wire.DecodeSubscribeReq(f.Body)
+		if err != nil {
+			hungUp <- err
+			return
+		}
+		st := &wire.ReplStatus{ReplID: req.ReplID, LSN: req.LSN, Epoch: req.Epoch}
+		out := wire.AppendFrame(nil, &wire.Frame{ReqID: f.ReqID, Type: wire.RespReplStatus, Body: st.Append(nil)})
+		out = binary.BigEndian.AppendUint32(out, wire.DefaultMaxFrame+1)
+		if _, err := nc.Write(out); err != nil {
+			hungUp <- err
+			return
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = br.ReadByte()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			hungUp <- errors.New("replica kept the connection open after an oversized frame header")
+			return
+		}
+		hungUp <- nil
+	}()
+
+	rep := NewReplica(db, ln.Addr().String(), &Metrics{}, nil)
+	if err := rep.Start(); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer rep.Stop()
+	if err := <-hungUp; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -55,8 +55,6 @@ type Options struct {
 	// connections get this long to finish their in-flight request and
 	// transaction, then their contexts are canceled and sockets closed.
 	DrainTimeout time.Duration
-	// MaxFrame bounds a single wire frame (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// Registry receives the server.* metrics (default: the database's
 	// MetricsRegistry). A second Server over the same database must
 	// supply its own registry — metric names register once.
@@ -101,9 +99,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.DrainTimeout <= 0 {
 		out.DrainTimeout = 5 * time.Second
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
 	}
 	if out.AckTimeout <= 0 {
 		out.AckTimeout = 2 * time.Second
@@ -423,7 +418,7 @@ func (c *conn) serve() {
 	c.nc.SetDeadline(time.Time{})
 
 	c.br = bufio.NewReader(&connReader{r: c.nc, met: &c.s.met.BytesIn})
-	c.fr = wire.NewFrameReader(c.br, c.s.opts.MaxFrame)
+	c.fr = wire.NewFrameReader(c.br, wire.DefaultMaxFrame)
 	for {
 		// The frame (and its body) aliases the reader's reused buffer:
 		// valid through dispatch, overwritten by the next Read. Handlers
@@ -951,7 +946,6 @@ func (c *conn) handleOQL(f *wire.Frame) error {
 		c.oqlSess = oql.NewSession(c.s.db, &c.oqlOut)
 	}
 	execErr := c.oqlSess.Exec(src)
-	c.s.db.Triggers().Wait()
 	if errs := c.s.db.Triggers().Errors(); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintf(&c.oqlOut, "trigger error: %v\n", e)

@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"path/filepath"
@@ -934,5 +936,45 @@ func TestCloseCancelsUnboundedLockWait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung: the unbounded lock wait was not canceled")
+	}
+}
+
+// TestServerRejectsOversizedFrame: a request frame whose length header
+// exceeds wire.DefaultMaxFrame is refused before its body is read, and
+// the connection closes.
+func TestServerRejectsOversizedFrame(t *testing.T) {
+	logged := make(chan string, 4)
+	_, _, addr, _ := startServer(t, filepath.Join(t.TempDir(), "f.odb"), &server.Options{
+		Logf: func(format string, args ...any) {
+			select {
+			case logged <- fmt.Sprintf(format, args...):
+			default:
+			}
+		}})
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteHello(nc, wire.Version, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadHello(nc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(binary.BigEndian.AppendUint32(nil, wire.DefaultMaxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered an oversized frame (%d bytes) instead of closing", n)
+	}
+	select {
+	case msg := <-logged:
+		if !strings.Contains(msg, wire.ErrFrameTooLarge.Error()) {
+			t.Fatalf("server logged %q, want %q", msg, wire.ErrFrameTooLarge)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server logged nothing for an oversized frame")
 	}
 }

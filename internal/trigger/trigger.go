@@ -1,10 +1,10 @@
 // Package trigger implements Ode triggers (paper, section 6): per-object
 // activations of class-declared triggers, once-only and perpetual
 // flavors, condition evaluation at the end of each transaction, and
-// weakly-coupled action transactions — a firing schedules the action as
-// an independent transaction that runs after (but not necessarily
-// immediately after) the triggering transaction commits; if the
-// triggering transaction aborts, its fired actions never run.
+// weakly-coupled action transactions — a firing runs the action as an
+// independent transaction after the triggering transaction commits
+// (inline, before that commit returns); if the triggering transaction
+// aborts, its fired actions never run.
 //
 // Activations are durable: each is a persistent object of the reserved
 // system class "__activation", so they ride the ordinary WAL/recovery
@@ -88,7 +88,6 @@ func (e ActionError) Error() string {
 type Service struct {
 	engine   *txn.Engine
 	actClass *core.Class
-	sync     bool // run actions inline in PostCommit (deterministic tests)
 	met      *obs.TriggerMetrics
 
 	mu       sync.Mutex
@@ -96,14 +95,11 @@ type Service struct {
 	pending  map[uint64][]firing            // txid -> fired this tx
 	suppress map[uint64]core.OID            // action txid -> its own activation
 	errs     []ActionError
-	wg       sync.WaitGroup
 }
 
-// NewService installs trigger processing on the engine. If syncActions
-// is true, fired actions run inline at commit (still as independent
-// transactions); otherwise they run on background goroutines and
-// Wait drains them.
-func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
+// NewService installs trigger processing on the engine. Fired actions
+// run inline at commit, each as an independent transaction.
+func NewService(engine *txn.Engine) (*Service, error) {
 	schema := engine.Manager().Schema()
 	actClass, ok := schema.ClassNamed(ActivationClassName)
 	if !ok {
@@ -112,7 +108,6 @@ func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
 	s := &Service{
 		engine:   engine,
 		actClass: actClass,
-		sync:     syncActions,
 		met:      &obs.TriggerMetrics{},
 		byTarget: make(map[core.OID]map[core.OID]bool),
 		pending:  make(map[uint64][]firing),
@@ -276,10 +271,6 @@ func (s *Service) Errors() []ActionError {
 	return out
 }
 
-// Wait blocks until all scheduled (asynchronous) trigger actions have
-// finished, including actions those actions fired in turn.
-func (s *Service) Wait() { s.wg.Wait() }
-
 // preCommit evaluates trigger conditions over the transaction's write
 // set — "conceptually, trigger conditions are evaluated at the end of
 // each transaction". Fired once-only activations are deactivated as
@@ -434,28 +425,17 @@ func (s *Service) postAbort(tx *txn.Tx) {
 
 // schedule runs a fired action as its own transaction (weak coupling).
 func (s *Service) schedule(f firing) {
-	run := func() {
-		if err := s.runAction(f); err != nil {
-			s.met.ActionErrors.Inc()
-			s.mu.Lock()
-			s.errs = append(s.errs, ActionError{
-				Activation: f.activation,
-				Target:     f.target,
-				Trigger:    f.triggerName,
-				Err:        err,
-			})
-			s.mu.Unlock()
-		}
+	if err := s.runAction(f); err != nil {
+		s.met.ActionErrors.Inc()
+		s.mu.Lock()
+		s.errs = append(s.errs, ActionError{
+			Activation: f.activation,
+			Target:     f.target,
+			Trigger:    f.triggerName,
+			Err:        err,
+		})
+		s.mu.Unlock()
 	}
-	if s.sync {
-		run()
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		run()
-	}()
 }
 
 func (s *Service) runAction(f firing) error {

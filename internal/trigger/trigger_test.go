@@ -84,7 +84,7 @@ func newFixture(t testing.TB) *fixture {
 	}
 	t.Cleanup(func() { log.Close() })
 	engine := txn.NewEngine(mgr, log)
-	svc, err := NewService(engine, true) // synchronous actions: deterministic
+	svc, err := NewService(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,6 @@ func TestAbortCancelsFiredActions(t *testing.T) {
 	o.MustSet("qty", core.Int(1))
 	tx2.Update(oid, o)
 	tx2.Abort()
-	f.svc.Wait()
 	if got := f.get(t, oid, "reorders"); got != 0 {
 		t.Fatalf("aborted transaction fired a trigger: %d", got)
 	}
@@ -320,7 +319,6 @@ func TestCascadingTriggers(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	f.svc.Wait()
 	if got := f.get(t, oid, "qty"); got != 1050 {
 		t.Fatalf("qty = %d, want 1050", got)
 	}
@@ -374,7 +372,7 @@ func TestActivationsSurviveReopen(t *testing.T) {
 	mgr.CreateCluster(item)
 	log, _ := wal.Open(filepath.Join(dir, "p.wal"))
 	engine := txn.NewEngine(mgr, log)
-	svc, err := NewService(engine, true)
+	svc, err := NewService(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +404,7 @@ func TestActivationsSurviveReopen(t *testing.T) {
 	log2, _ := wal.Open(filepath.Join(dir, "p.wal"))
 	defer log2.Close()
 	engine2 := txn.NewEngine(mgr2, log2)
-	svc2, err := NewService(engine2, true)
+	svc2, err := NewService(engine2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +418,6 @@ func TestActivationsSurviveReopen(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	svc2.Wait()
 	tx3 := engine2.Begin()
 	defer tx3.Abort()
 	got, _ := tx3.Deref(oid)
@@ -446,7 +443,6 @@ func TestTimedTriggerExpiry(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("expired %d, want 1", n)
 	}
-	f.svc.Wait()
 	if got := f.get(t, oid, "timeouts"); got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)
 	}
@@ -485,7 +481,7 @@ func TestActionErrorsAreReported(t *testing.T) {
 	log, _ := wal.Open(filepath.Join(dir, "b.wal"))
 	defer log.Close()
 	engine := txn.NewEngine(mgr, log)
-	svc, _ := NewService(engine, true)
+	svc, _ := NewService(engine)
 
 	tx := engine.Begin()
 	o := core.NewObject(item)
@@ -493,7 +489,6 @@ func TestActionErrorsAreReported(t *testing.T) {
 	oid, _ := tx.PNew(item, o)
 	svc.Activate(tx, oid, "boom")
 	tx.Commit()
-	svc.Wait()
 	errs := svc.Errors()
 	if len(errs) != 1 || errs[0].Trigger != "boom" {
 		t.Fatalf("Errors = %v", errs)

@@ -77,7 +77,6 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 // the group counters add up.
 func TestGroupCommitConcurrent(t *testing.T) {
 	l, path := openTestLog(t)
-	l.SetGroupCommit(16, 0)
 
 	const (
 		workers = 8

@@ -1,230 +1,177 @@
 package workload
 
 import (
-	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"ode/client"
 	"ode/internal/bench"
-	"ode/internal/server"
 )
 
-func shortCfg(seed int64) Config {
-	return Config{Seed: seed, Workers: 2, Short: true}
+// The six mixes run as E17 (embedded, remote) and E18 (sharded) of the
+// experiment registry. These tests drive them through the registry, the
+// way ode-bench -workload does, at CI size with two workers; they run
+// in parallel and share one embedded E17 run.
+
+// run runs experiment id with seed and returns the rows of the cases
+// keep accepts; the other cases are only declared.
+func run(id string, seed int64, keep func(bench.Case) bool) (rows []bench.Row, err error) {
+	for _, e := range bench.Experiments() {
+		if e.ID == id {
+			err = e.Run(bench.Driver{Short: true, Workers: 2, Seed: seed, Measure: func(c bench.Case) error {
+				if !keep(c) {
+					return nil
+				}
+				row, err := c.Row(e.ID, 1)
+				rows = append(rows, row)
+				return err
+			}})
+		}
+	}
+	return rows, err
 }
 
-func runEmbedded(t *testing.T, wl *Workload, cfg Config) *Report {
+func mixRows(t *testing.T, id string, seed int64, keep func(bench.Case) bool) []bench.Row {
 	t.Helper()
-	w, err := bench.NewWorld(wl.DBOptions(cfg))
+	rows, err := run(id, seed, keep)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", id, err)
 	}
-	t.Cleanup(w.Close)
-	rep, err := wl.Run(NewEmbeddedStore(w), cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", wl.Name, err)
-	}
-	return rep
+	return rows
 }
 
-// TestMixesEmbeddedShort runs every registered mix at CI size and
-// sanity-checks the report shape.
-func TestMixesEmbeddedShort(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every mix; minutes in -short CI shards")
+func embedded(c bench.Case) bool { return c.Mode == "embedded" }
+
+// embeddedRows runs E17's embedded cases (seed 1) once for the tests
+// that read them.
+var embeddedRows = sync.OnceValues(func() (map[string]bench.Row, error) {
+	rows, err := run("E17", 1, embedded)
+	byName := map[string]bench.Row{}
+	for _, r := range rows {
+		byName[r.Workload] = r
 	}
-	for _, name := range Names() {
-		name := name
+	return byName, err
+})
+
+func embeddedRow(t *testing.T, name string) bench.Row {
+	t.Helper()
+	rows, err := embeddedRows()
+	if err != nil {
+		t.Fatalf("E17: %v", err)
+	}
+	r, ok := rows[name]
+	if !ok {
+		t.Fatalf("E17 has no embedded row %q", name)
+	}
+	return r
+}
+
+// opCounts is a row's op count and its op.<kind> counts.
+func opCounts(r bench.Row) map[string]float64 {
+	ops := map[string]float64{"ops": r.Extra["ops"]}
+	for k, v := range r.Extra {
+		if strings.HasPrefix(k, "op.") {
+			ops[k] = v
+		}
+	}
+	return ops
+}
+
+// TestMixesEmbeddedShort checks every mix's embedded row.
+func TestMixesEmbeddedShort(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"points", "traverse", "versions", "triggers", "bom", "churn10x"} {
 		t.Run(name, func(t *testing.T) {
-			wl, ok := Lookup(name)
-			if !ok {
-				t.Fatalf("Lookup(%q) missing", name)
+			r := embeddedRow(t, name)
+			if r.Mode != "embedded" || r.Workers != 2 {
+				t.Fatalf("row header: %+v", r)
 			}
-			rep := runEmbedded(t, wl, shortCfg(1))
-			if rep.Workload != name || rep.Mode != "embedded" {
-				t.Fatalf("report header: %+v", rep)
+			if len(opCounts(r)) < 2 || r.Extra["ops"] == 0 {
+				t.Fatalf("no ops recorded: %v", r.Extra)
 			}
-			if rep.Ops == 0 || len(rep.OpCounts) == 0 {
-				t.Fatalf("%s: no ops recorded: %+v", name, rep)
+			if r.Extra["p50_ns"] <= 0 || r.Extra["max_ns"] < r.Extra["p99_ns"] {
+				t.Fatalf("bad latency quantiles: %v", r.Extra)
 			}
-			if rep.Latency.Count == 0 || rep.Latency.P50Ns <= 0 {
-				t.Fatalf("%s: empty latency summary: %+v", name, rep.Latency)
-			}
-			if rep.OpsPerSec <= 0 || rep.NsPerOp <= 0 {
-				t.Fatalf("%s: no throughput: %+v", name, rep)
+			if r.Extra["ops_per_sec"] <= 0 || r.NsPerOp <= 0 {
+				t.Fatalf("no throughput: %+v", r)
 			}
 		})
 	}
 }
 
-// TestOpCountsDeterministic pins the acceptance requirement: the op
-// counts of a seeded run are byte-reproducible.
+// TestOpCountsDeterministic: the op counts of a seeded run repeat
+// exactly.
 func TestOpCountsDeterministic(t *testing.T) {
-	for _, name := range []string{"bom", "points"} {
-		wl, _ := Lookup(name)
-		a := runEmbedded(t, wl, shortCfg(1))
-		b := runEmbedded(t, wl, shortCfg(1))
-		if !reflect.DeepEqual(a.OpCounts, b.OpCounts) || a.Ops != b.Ops {
-			t.Fatalf("%s seed=1 not reproducible:\n%v\n%v", name, a.OpCounts, b.OpCounts)
+	t.Parallel()
+	for _, again := range mixRows(t, "E17", 1, func(c bench.Case) bool {
+		return embedded(c) && (c.Name == "bom" || c.Name == "points")
+	}) {
+		first := embeddedRow(t, again.Workload)
+		if a, b := opCounts(first), opCounts(again); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s seed=1 not reproducible:\n%v\n%v", again.Workload, a, b)
 		}
 	}
 }
 
-// TestRemoteMatchesEmbedded runs the points mix embedded and through a
-// loopback server; the op mix is a pure function of the seed, so the
-// two reports must agree on every count.
-func TestRemoteMatchesEmbedded(t *testing.T) {
-	wl, _ := Lookup("points")
-	cfg := shortCfg(7)
-	emb := runEmbedded(t, wl, cfg)
-
-	w, err := bench.NewWorld(nil)
-	if err != nil {
-		t.Fatal(err)
+// TestTransportsAgree runs the points mix embedded, through a loopback
+// server and through a 2-shard loopback router: the op mix is a pure
+// function of the seed, so all three rows must agree on every count.
+func TestTransportsAgree(t *testing.T) {
+	t.Parallel()
+	points := func(c bench.Case) bool { return c.Name == "points" }
+	rows := append(mixRows(t, "E17", 7, points), mixRows(t, "E18", 7, points)...)
+	var modes []string
+	for _, r := range rows {
+		modes = append(modes, r.Mode)
+		if a, b := opCounts(rows[0]), opCounts(r); !reflect.DeepEqual(a, b) {
+			t.Errorf("op counts diverge across transports:\n%s %v\n%s %v", rows[0].Mode, a, r.Mode, b)
+		}
+		if r.Extra["ctr.txn.commits"] == 0 {
+			t.Errorf("%s row carries no server counter deltas: %v", r.Mode, r.Extra)
+		}
 	}
-	t.Cleanup(w.Close)
-	srv := server.New(w.DB, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(nil)
-	t.Cleanup(func() { srv.Close() })
-	schema, cw := bench.Schema()
-	c, err := client.Dial(addr.String(), schema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	rem, err := wl.Run(NewRemoteStore(c, cw), cfg)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
-	if rem.Mode != "remote" {
-		t.Fatalf("mode = %q", rem.Mode)
-	}
-	if !reflect.DeepEqual(emb.OpCounts, rem.OpCounts) {
-		t.Fatalf("op counts diverge across transports:\nembedded %v\nremote   %v",
-			emb.OpCounts, rem.OpCounts)
-	}
-	if len(rem.Counters) == 0 {
-		t.Fatal("remote report carries no server counter deltas")
+	if got := strings.Join(modes, ","); got != "embedded,remote,sharded-2" {
+		t.Fatalf("points ran in %s, want embedded,remote,sharded-2", got)
 	}
 }
 
-// TestTriggersRefusedRemotely pins the capability flag.
+// TestTriggersRefusedRemotely pins the capability split: the trigger
+// and churn mixes need embedded APIs, so E17 declares no remote case
+// and E18 no sharded case for them.
 func TestTriggersRefusedRemotely(t *testing.T) {
-	wl, _ := Lookup("triggers")
-	_, cw := bench.Schema()
-	if _, err := wl.Run(NewRemoteStore(nil, cw), shortCfg(1)); err == nil {
-		t.Fatal("trigger mix ran remotely; it needs embedded activation")
+	t.Parallel()
+	for _, id := range []string{"E17", "E18"} {
+		var remote []string
+		mixRows(t, id, 1, func(c bench.Case) bool {
+			if c.Mode != "embedded" {
+				remote = append(remote, c.Name)
+			}
+			return false
+		})
+		if got := strings.Join(remote, ","); got != "points,traverse,versions,bom" {
+			t.Errorf("%s remote cases = %s, want points,traverse,versions,bom", id, got)
+		}
 	}
 }
 
 // TestChurn10xLargerThanRAM is the acceptance test for the
-// larger-than-RAM scenario: the dataset dwarfs the pool, the run
-// completes inside the fixed pool, and compaction reclaims the pages
-// the mass delete left behind.
+// larger-than-RAM scenario: the data set dwarfs the 32-page pool (the
+// pool recycles its frames many times over), and both compactions run
+// and reclaim the pages the mass delete left behind.
 func TestChurn10xLargerThanRAM(t *testing.T) {
-	wl, _ := Lookup("churn10x")
-	cfg := shortCfg(1)
-	opts := wl.DBOptions(cfg)
-	w, err := bench.NewWorld(opts)
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	x := embeddedRow(t, "churn10x").Extra
+	if x["ctr.pool.evictions"] < 5*32 {
+		t.Fatalf("data set is not larger than RAM: %v pool evictions for a 32-page pool", x["ctr.pool.evictions"])
 	}
-	t.Cleanup(w.Close)
-	rep, err := wl.Run(NewEmbeddedStore(w), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if x["ctr.storage.compactions"] != 2 {
+		t.Fatalf("storage.compactions delta = %v, want 2 (%v)", x["ctr.storage.compactions"], x)
 	}
-	if pages := w.DB.Stats().Pages; int(pages) < 5*opts.PoolPages {
-		t.Fatalf("dataset is not larger than RAM: %d pages vs %d pool frames", pages, opts.PoolPages)
+	if x["ctr.storage.pages_reclaimed"] <= 0 {
+		t.Fatalf("compaction reclaimed no pages: %v", x)
 	}
-	if rep.Counters["storage.compactions"] != 2 {
-		t.Fatalf("storage.compactions delta = %d, want 2 (counters: %v)",
-			rep.Counters["storage.compactions"], rep.Counters)
-	}
-	if rep.Counters["storage.pages_reclaimed"] <= 0 {
-		t.Fatalf("compaction reclaimed no pages: %v", rep.Counters)
-	}
-	if rep.OpCounts["delete"] == 0 || rep.OpCounts["insert"] == 0 {
-		t.Fatalf("churn accounting empty: %v", rep.OpCounts)
-	}
-}
-
-// TestReportRoundTrip pins the JSON report schema: encode → decode is
-// lossless, so the committed baseline and the gate always speak the
-// same format.
-func TestReportRoundTrip(t *testing.T) {
-	in := []*Report{{
-		Workload: "points", Mode: "embedded", Seed: 1, Workers: 4, Short: true,
-		Ops: 4000, NsTotal: 9e9, NsPerOp: 2250000, OpsPerSec: 444.4,
-		OpCounts: map[string]int64{"deref.hot": 3200, "update": 310},
-		Latency:  LatencySummary{Count: 4000, MeanNs: 8000, P50Ns: 4000, P90Ns: 16000, P99Ns: 64000, MaxNs: 256000},
-		Counters: map[string]int64{"pool.hits": 12345},
-	}}
-	buf, err := EncodeReports(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeReports(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip lost data:\nin  %+v\nout %+v", in[0], out[0])
-	}
-}
-
-// TestReportFieldOrder pins the marshaled field order the gate's
-// line-oriented awk extraction depends on: "workload", then "mode",
-// then "workers", then "ops_per_sec" — see ci/gate_lib.sh.
-func TestReportFieldOrder(t *testing.T) {
-	buf, err := json.Marshal(&Report{Workload: "x", Mode: "embedded", Workers: 4, OpCounts: map[string]int64{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(buf)
-	order := []string{`"workload"`, `"mode"`, `"workers"`, `"ops"`, `"ops_per_sec"`, `"op_counts"`}
-	last := -1
-	for _, key := range order {
-		i := strings.Index(s, key)
-		if i < 0 {
-			t.Fatalf("report JSON lost field %s: %s", key, s)
-		}
-		if i < last {
-			t.Fatalf("field %s moved before its predecessor; ci/gate_lib.sh scans fields in order. JSON: %s", key, s)
-		}
-		last = i
-	}
-}
-
-// TestWorkloadMetricsDocComplete mirrors the engine's registry-diff
-// test for the per-run workload.* family: every name a runner's
-// Registry builds must appear backticked in docs/OBSERVABILITY.md.
-func TestWorkloadMetricsDocComplete(t *testing.T) {
-	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	text := string(doc)
-
-	reg := (&runner{}).Registry()
-	names := reg.Names()
-	if len(names) == 0 {
-		t.Fatal("runner.Registry registered nothing")
-	}
-	for _, name := range names {
-		if !strings.HasPrefix(name, "workload.") {
-			t.Errorf("metric %q: workload metrics must live under workload.*", name)
-		}
-		if !strings.Contains(text, "`"+name+"`") {
-			t.Errorf("metric %q is not documented in docs/OBSERVABILITY.md", name)
-		}
+	if x["op.delete"] == 0 || x["op.insert"] == 0 {
+		t.Fatalf("churn accounting empty: %v", x)
 	}
 }

@@ -76,9 +76,6 @@ type Options struct {
 	// NoSync disables the fsync at commit (durability of recent commits
 	// is lost on power failure; benchmarking only).
 	NoSync bool
-	// AsyncTriggers runs fired trigger actions on background goroutines
-	// instead of inline at commit. Use Triggers().Wait() to drain.
-	AsyncTriggers bool
 	// ObjectCacheSize bounds the decoded-object cache in objects: 0
 	// means the default (4096), negative disables the cache. The cache
 	// serves repeated Derefs of hot objects without re-reading and
@@ -143,17 +140,10 @@ type Options struct {
 // GroupCommitOptions configures commit batching (Options.GroupCommit).
 type GroupCommitOptions struct {
 	// Disable turns group commit off: commits hold the commit lock
-	// through their fsync, serializing durability waits.
+	// through their fsync, serializing durability waits. With it on, a
+	// group leader fsyncs at once; groups form from the commits staged
+	// while a previous fsync is in flight.
 	Disable bool
-	// MaxBatch caps how many commits a leader accumulates before
-	// fsyncing when MaxDelay is set (0 = 64).
-	MaxBatch int
-	// MaxDelay, when positive, makes a group-commit leader wait up to
-	// this long (or until MaxBatch commits are staged) before issuing
-	// its fsync, trading commit latency for fewer, larger fsyncs. The
-	// default 0 fsyncs immediately; groups still form naturally from
-	// commits staged while a previous fsync is in flight.
-	MaxDelay time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -278,7 +268,6 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	log.SetSync(!o.NoSync)
-	log.SetGroupCommit(o.GroupCommit.MaxBatch, o.GroupCommit.MaxDelay)
 
 	// In-doubt two-phase-commit state must be captured before recovery:
 	// the rebuild below truncates the log, and prepared batches — which
@@ -349,7 +338,7 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 		engine.SetShardSlot(o.ShardSlot)
 	}
 	engine.SetPrepareTimeout(o.PrepareTimeout)
-	svc, err := trigger.NewService(engine, !o.AsyncTriggers)
+	svc, err := trigger.NewService(engine)
 	if err != nil {
 		log.Close()
 		dw.Close()
@@ -655,7 +644,7 @@ func (db *DB) ViewCtx(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 // Triggers exposes the trigger service (activation, deactivation,
-// expiry of timed triggers, draining of asynchronous actions).
+// expiry of timed triggers, action errors).
 func (db *DB) Triggers() *trigger.Service { return db.triggers }
 
 // Versions exposes the tree-versioning service (branching version
@@ -861,7 +850,6 @@ func (db *DB) CrashForTesting() {
 		return
 	}
 	db.closed = true
-	db.triggers.Wait()
 	db.log.Close()
 	db.dw.Close()
 	db.fs.Close()
@@ -885,8 +873,8 @@ func (db *DB) stopCheckpointer() {
 // Close shuts the database down gracefully: new transactions are
 // rejected with ErrDBClosed, active ones get CloseTimeout to finish
 // and are then canceled (aborting with ErrCanceled at their next lock
-// wait or scan boundary; RunTx reports that as ErrDBClosed), trigger
-// actions drain, the checkpointer stops, a final checkpoint marks a
+// wait or scan boundary; RunTx reports that as ErrDBClosed), the
+// checkpointer stops, a final checkpoint marks a
 // clean shutdown and truncates the WAL, and the files close. A
 // concurrent or repeated Close is a no-op.
 func (db *DB) Close() error {
@@ -910,7 +898,6 @@ func (db *DB) Close() error {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	db.triggers.Wait()
 	// From here commits with a write set are rejected under the commit
 	// lock: nothing can reach the WAL once the final checkpoint runs.
 	db.engine.MarkClosed()

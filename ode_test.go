@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // inventorySchema builds the paper's stockitem class (section 2) with
@@ -353,4 +354,60 @@ func TestVersionBranchingThroughFacade(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestTriggerActionsRunInline: a fired action commits before the
+// triggering RunTx returns, so the next read sees it with nothing to
+// drain; an expired timed activation is retired the same way.
+func TestTriggerActionsRunInline(t *testing.T) {
+	db, stock := openTestDB(t, nil)
+	oid := addItem(t, db, stock, "bolt", 10, 1)
+	err := db.RunTx(func(tx *Tx) error {
+		_, err := db.Triggers().Activate(tx, oid, "reorder", Int(5), Int(10))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setQty := func(q int64) {
+		t.Helper()
+		err := db.RunTx(func(tx *Tx) error {
+			o, err := tx.Deref(oid)
+			if err != nil {
+				return err
+			}
+			o.MustSet("qty", Int(q))
+			return tx.Update(oid, o)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	setQty(3)
+	err = db.View(func(tx *Tx) error {
+		o, err := tx.Deref(oid)
+		if err == nil && (o.MustGet("qty").Int() != 13 || o.MustGet("reorders").Int() != 1) {
+			t.Errorf("after the firing commit: qty %d reorders %d, want 13 and 1",
+				o.MustGet("qty").Int(), o.MustGet("reorders").Int())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	timed := addItem(t, db, stock, "nut", 10, 1)
+	err = db.RunTx(func(tx *Tx) error {
+		_, err := db.Triggers().ActivateWithin(tx, timed, "reorder", timeNow().Add(-time.Second), Int(5), Int(10))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.ExpireTimedTriggers(); err != nil || n != 1 {
+		t.Fatalf("ExpireTimedTriggers = %d, %v; want 1 expired", n, err)
+	}
+	if errs := db.Triggers().Errors(); len(errs) != 0 {
+		t.Fatalf("action errors: %v", errs)
+	}
 }
