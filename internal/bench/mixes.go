@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -313,6 +314,7 @@ type mixRun struct {
 	mu    sync.Mutex
 	ops   int64
 	kinds map[string]int64
+	extra Extra // row extras the mix reports itself
 }
 
 // row returns the run's time per op and its extras: op counts,
@@ -321,6 +323,7 @@ type mixRun struct {
 // to the last bound) and counter deltas.
 func (m *mixRun) row(elapsed time.Duration, before, after map[string]int64) (d time.Duration, x Extra) {
 	x = Extra{"ops": float64(m.ops)}
+	maps.Copy(x, m.extra)
 	for kind, n := range m.kinds {
 		x["op."+kind] = float64(n)
 	}
@@ -708,6 +711,7 @@ func churn10x(m *mixRun) {
 	// then compact once more.
 	m.count("insert", int64(len(m.loadStock(n/4, 96, identity))))
 	check(m.op("compact", compact))
+	m.extra = Extra{"pages": float64(m.store.DB().Stats().Pages)}
 }
 
 // partition slices oids into the w-th of workers contiguous,

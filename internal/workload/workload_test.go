@@ -156,14 +156,17 @@ func TestTriggersRefusedRemotely(t *testing.T) {
 }
 
 // TestChurn10xLargerThanRAM is the acceptance test for the
-// larger-than-RAM scenario: the data set dwarfs the 32-page pool (the
-// pool recycles its frames many times over), and both compactions run
-// and reclaim the pages the mass delete left behind.
+// larger-than-RAM scenario: the data set spans at least 5× the 32-page
+// pool, the pool recycles its frames, and both compactions run and
+// reclaim the pages the mass delete left behind.
 func TestChurn10xLargerThanRAM(t *testing.T) {
 	t.Parallel()
 	x := embeddedRow(t, "churn10x").Extra
+	if x["pages"] < 5*32 {
+		t.Fatalf("data set is not larger than RAM: %v pages vs 32 pool frames", x["pages"])
+	}
 	if x["ctr.pool.evictions"] < 5*32 {
-		t.Fatalf("data set is not larger than RAM: %v pool evictions for a 32-page pool", x["ctr.pool.evictions"])
+		t.Fatalf("pool recycled only %v frames of a 32-page pool", x["ctr.pool.evictions"])
 	}
 	if x["ctr.storage.compactions"] != 2 {
 		t.Fatalf("storage.compactions delta = %v, want 2 (%v)", x["ctr.storage.compactions"], x)
