@@ -225,3 +225,46 @@ func TestWorkloadGateSingleCPU(t *testing.T) {
 		t.Fatalf("gate on a drifted op count: err=%v, want an op-count failure\n%s", err, out)
 	}
 }
+
+// TestWorkloadGateMedian runs ci/workload_gate.sh on three reports of
+// one suite (on a faked 2-CPU host, so the throughput check runs): the
+// per-row median ops_per_sec is what meets the baseline, so one slow
+// outlier passes and a slow median fails, and the op counts must agree
+// across the runs as well as with the baseline.
+func TestWorkloadGateMedian(t *testing.T) {
+	dir := t.TempDir()
+	shim := filepath.Join(dir, "nproc")
+	if err := os.WriteFile(shim, []byte("#!/bin/sh\necho 2\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	baseline := writeRows(t, []bench.Row{mixRow("points", "embedded", 4000, 1000)})
+	gate := func(reports ...string) (string, error) {
+		cmd := exec.Command("bash", append([]string{"ci/workload_gate.sh"}, reports...)...)
+		cmd.Env = append(os.Environ(), "WORKLOAD_BASELINE="+baseline,
+			"PATH="+dir+string(os.PathListSeparator)+os.Getenv("PATH"))
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	runs := func(ops float64, tps ...float64) []string {
+		var files []string
+		for i, tp := range tps {
+			n := 4000.0
+			if i == len(tps)-1 {
+				n = ops
+			}
+			files = append(files, writeRows(t, []bench.Row{mixRow("points", "embedded", n, tp)}))
+		}
+		return files
+	}
+
+	out, err := gate(runs(4000, 1100, 100, 1000)...)
+	if err != nil || !strings.Contains(out, "1000 ops/s") || !strings.Contains(out, "ops (deterministic)") {
+		t.Fatalf("median 1000 against baseline 1000, one outlier at 100: err=%v, want a pass on 1000 ops/s\n%s", err, out)
+	}
+	if out, err := gate(runs(4000, 1100, 700, 700)...); err == nil || !strings.Contains(out, "FAIL points/embedded: 700 ops/s") {
+		t.Fatalf("median 700 against baseline 1000 (25%% tolerance): err=%v, want a throughput failure\n%s", err, out)
+	}
+	if out, err := gate(runs(4001, 1000, 1000, 1000)...); err == nil || !strings.Contains(out, "runs disagree") {
+		t.Fatalf("third run with 4001 ops: err=%v, want an op-count failure\n%s", err, out)
+	}
+}

@@ -247,8 +247,10 @@ func (c *Client) RunTx(ctx context.Context, fn func(tx *Tx) error) error {
 		if err != nil {
 			return err
 		}
+		// A no-op after Commit; when fn fails or panics it ends the
+		// server's transaction and hands the connection back.
+		defer tx.Abort()
 		if err := fn(tx); err != nil {
-			tx.Abort()
 			return err
 		}
 		return tx.Commit()

@@ -224,3 +224,59 @@ func TestPipelineMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunTxPanicReleasesTx: a RunTx body that panics after an update
+// has the server's transaction aborted and its connection handed back
+// before the panic reaches the caller, so the next writer of the object
+// gets its lock at once and the update is gone; through a Client and
+// through a Replicated router alike.
+func TestRunTxPanicReleasesTx(t *testing.T) {
+	c, cls := startServer(t)
+	ctx := context.Background()
+	var oid ode.OID
+	err := c.RunTx(ctx, func(tx *client.Tx) error {
+		var err error
+		oid, err = tx.PNew(cls, gadget(cls, "widget", 3))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setQty := func(qty int64) func(tx *client.Tx) error {
+		return func(tx *client.Tx) error { return tx.Update(oid, gadget(cls, "widget", qty)) }
+	}
+
+	for i, runTx := range []func(context.Context, func(*client.Tx) error) error{
+		c.RunTx, client.NewReplicated(c).RunTx,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("router %d: recovered %v, want the body's panic", i, r)
+				}
+			}()
+			_ = runTx(ctx, func(tx *client.Tx) error {
+				if err := setQty(1)(tx); err != nil {
+					return err
+				}
+				panic("boom")
+			})
+		}()
+		short, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+		defer cancel()
+		want := int64(10 + i)
+		if err := runTx(short, setQty(want)); err != nil {
+			t.Fatalf("router %d: update after a panicked update of the same object: %v", i, err)
+		}
+		err = c.View(short, func(tx *client.Tx) error {
+			o, err := tx.Deref(oid)
+			if err == nil && o.MustGet("qty").Int() != want {
+				t.Errorf("router %d: qty = %d, want %d", i, o.MustGet("qty").Int(), want)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -302,16 +302,15 @@ func (r *Replicated) runTxOnce(ctx context.Context, fn func(tx *Tx) error) error
 	if err != nil {
 		return err
 	}
+	defer tx.Abort() // a no-op after Commit; also ends it when fn panics
 	if e := tx.Epoch(); e > 0 && e < r.epochFloor.Load() {
 		// The node answered as a writable primary, but at an epoch the
 		// session has already seen superseded: a deposed primary that
 		// has not noticed yet. Refuse it before fn runs.
-		tx.Abort()
 		return fmt.Errorf("client: primary at epoch %d, session has observed %d: %w",
 			e, r.epochFloor.Load(), ode.ErrStaleEpoch)
 	}
 	if err := fn(tx); err != nil {
-		tx.Abort()
 		return err
 	}
 	if err := tx.Commit(); err != nil {

@@ -137,8 +137,8 @@ func (s *Sharded) Begin(ctx context.Context) *STx {
 func (s *Sharded) RunTx(ctx context.Context, fn func(tx *STx) error) error {
 	return runWithRetry(ctx, func() error {
 		tx := s.Begin(ctx)
+		defer tx.Abort() // a no-op after Commit; also ends it when fn panics
 		if err := fn(tx); err != nil {
-			tx.Abort()
 			return err
 		}
 		return tx.Commit()

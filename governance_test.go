@@ -3,6 +3,7 @@ package ode
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -218,6 +219,57 @@ func TestBeginCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestRunTxPanicReleasesTx: a RunTx body that panics after an update
+// has its transaction aborted before the panic reaches the caller, so
+// the update is gone, the next writer of the object gets its lock at
+// once, and no transaction is left for Close to wait on.
+func TestRunTxPanicReleasesTx(t *testing.T) {
+	db, stock := openTestDB(t, nil)
+	oid := addItem(t, db, stock, "dram", 100, 0.05)
+	setQty := func(qty int64) func(tx *Tx) error {
+		return func(tx *Tx) error {
+			o, err := tx.Deref(oid)
+			if err != nil {
+				return err
+			}
+			o.MustSet("qty", Int(qty))
+			return tx.Update(oid, o)
+		}
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		_ = db.RunTx(func(tx *Tx) error {
+			if err := setQty(1)(tx); err != nil {
+				return err
+			}
+			panic("boom")
+		})
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if err := db.RunTxCtx(ctx, setQty(2)); err != nil {
+		t.Fatalf("update after a panicked update of the same object: %v", err)
+	}
+	if n := db.activeTx.Load(); n != 0 {
+		t.Fatalf("%d transactions still active after the panic", n)
+	}
+	err := db.ViewCtx(ctx, func(tx *Tx) error {
+		o, err := tx.Deref(oid)
+		if err == nil && o.MustGet("qty").Int() != 2 {
+			err = fmt.Errorf("qty = %d, want 2", o.MustGet("qty").Int())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScanObservesDeadline(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	for i := 0; i < 64; i++ {
@@ -235,7 +287,7 @@ func TestScanObservesDeadline(t *testing.T) {
 	}
 }
 
-func TestParallelScanObservesCancel(t *testing.T) {
+func TestScanObservesCancel(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	for i := 0; i < 512; i++ {
 		addItem(t, db, stock, "bulk", int64(i), 1.0)
@@ -243,14 +295,19 @@ func TestParallelScanObservesCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	visited := 0
 	err := db.ViewCtx(ctx, func(tx *Tx) error {
-		cancel() // cancel between Begin and the scan: no chunk may be visited
-		return Forall(tx, stock).Parallel(4).Do(func(it Item) (bool, error) {
+		cancel() // cancel between Begin and the scan: no batch may be visited
+		return Forall(tx, stock).Do(func(it Item) (bool, error) {
+			visited++
 			return true, nil
 		})
 	})
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled parallel scan = %v, want ErrCanceled", err)
+		t.Fatalf("canceled scan = %v, want ErrCanceled", err)
+	}
+	if visited != 0 {
+		t.Fatalf("canceled scan visited %d rows, want 0", visited)
 	}
 }
 

@@ -383,14 +383,33 @@ func e12(r *run) {
 	}
 }
 
-// e13: one cluster scan partitioned across 1..Workers goroutines, and
-// concurrent derefs of a cache-resident hot set, each goroutine in a
-// read transaction of its own (time per deref across all goroutines).
+// e13: one serial cluster scan, the baseline, and concurrent derefs
+// of a cache-resident hot set at 1..Workers goroutines, each goroutine
+// in a read transaction of its own (time per deref across all
+// goroutines).
 func e13(r *run) {
 	n := r.n(50000)
 	w := r.world(nil)
 	oids := loadStock(w, n)
 	hot := oids[:min(len(oids), 4000)]
+
+	scan := func() {
+		var sum int64
+		view(w.DB, func(tx *ode.Tx) error {
+			return ode.Forall(tx, w.Stock).Snapshot().Do(func(it ode.Item) (bool, error) {
+				sum += it.Obj.MustGet("qty").Int()
+				return true, nil
+			})
+		})
+		if sum != int64(n)*int64(n-1)/2 {
+			failf("cluster scan summed %d", sum)
+		}
+	}
+	scan() // untimed warm-up, so the row is not charged the cold pool
+	r.timed("cluster-scan workers=1", 1, 3, func(reps int) (time.Duration, Extra) {
+		return timeIt(reps, scan), Extra{}
+	})
+
 	maxW := r.Workers
 	if maxW <= 0 {
 		maxW = runtime.GOMAXPROCS(0)
@@ -402,68 +421,45 @@ func e13(r *run) {
 	if maxW > 1 {
 		counts = append(counts, maxW)
 	}
-	sweep := func(name string, reps int, op func(nw, reps int) (time.Duration, Extra)) {
-		var base time.Duration
-		for _, nw := range counts {
-			r.timed(fmt.Sprintf("%s workers=%d", name, nw), nw, reps, func(reps int) (time.Duration, Extra) {
-				d, x := op(nw, reps)
-				if nw == 1 {
-					base = d
-				} else if base > 0 && d > 0 {
-					x["speedup"] = float64(base) / float64(d)
-				}
-				return d, x
-			})
-		}
-	}
-
-	scan := func(nw int) {
-		var sum atomic.Int64
-		view(w.DB, func(tx *ode.Tx) error {
-			return ode.Forall(tx, w.Stock).Parallel(nw).Do(func(it ode.Item) (bool, error) {
-				sum.Add(it.Obj.MustGet("qty").Int())
-				return true, nil
-			})
-		})
-		if sum.Load() != int64(n)*int64(n-1)/2 {
-			failf("parallel scan summed %d", sum.Load())
-		}
-	}
-	scan(1) // untimed warm-up, so workers=1 is not charged the cold pool
-	sweep("cluster-scan", 3, func(nw, reps int) (time.Duration, Extra) {
-		return timeIt(reps, func() { scan(nw) }), Extra{}
-	})
-
-	sweep("deref", 1, func(nw, reps int) (time.Duration, Extra) {
-		perG := r.n(200000) / nw
-		st0 := w.DB.Stats()
-		d := timeIt(reps, func() {
-			// A transaction is not safe for concurrent use: each
-			// goroutine reads in its own.
-			errc := make(chan error, nw)
-			for g := 0; g < nw; g++ {
-				go func(i int) {
-					errc <- w.DB.View(func(tx *ode.Tx) error {
-						for k := 0; k < perG; k, i = k+1, i+1 {
-							if _, err := tx.Deref(hot[i%len(hot)]); err != nil {
-								return err
+	var base time.Duration
+	for _, nw := range counts {
+		r.timed(fmt.Sprintf("deref workers=%d", nw), nw, 1, func(reps int) (time.Duration, Extra) {
+			perG := r.n(200000) / nw
+			st0 := w.DB.Stats()
+			d := timeIt(reps, func() {
+				// A transaction is not safe for concurrent use: each
+				// goroutine reads in its own.
+				errc := make(chan error, nw)
+				for g := 0; g < nw; g++ {
+					go func(i int) {
+						errc <- w.DB.View(func(tx *ode.Tx) error {
+							for k := 0; k < perG; k, i = k+1, i+1 {
+								if _, err := tx.Deref(hot[i%len(hot)]); err != nil {
+									return err
+								}
 							}
-						}
-						return nil
-					})
-				}(g * 7919)
+							return nil
+						})
+					}(g * 7919)
+				}
+				for g := 0; g < nw; g++ {
+					check(<-errc)
+				}
+			})
+			st := w.DB.Stats()
+			x := Extra{}
+			if hits := float64(st.Object.CacheHits - st0.Object.CacheHits); hits > 0 {
+				x["cache_hit_pct"] = 100 * hits / (hits + float64(st.Object.CacheMisses-st0.Object.CacheMisses))
 			}
-			for g := 0; g < nw; g++ {
-				check(<-errc)
+			d /= time.Duration(nw * perG)
+			if nw == 1 {
+				base = d
+			} else if base > 0 && d > 0 {
+				x["speedup"] = float64(base) / float64(d)
 			}
+			return d, x
 		})
-		st := w.DB.Stats()
-		x := Extra{}
-		if hits := float64(st.Object.CacheHits - st0.Object.CacheHits); hits > 0 {
-			x["cache_hit_pct"] = 100 * hits / (hits + float64(st.Object.CacheMisses-st0.Object.CacheMisses))
-		}
-		return d / time.Duration(nw*perG), x
-	})
+	}
 }
 
 // e14: an overload burst against no admission gate, a gate with no

@@ -1,74 +1,55 @@
-package workload
+package bench
 
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-
-	"ode/internal/bench"
 )
 
-// The six mixes run as E17 (embedded, remote) and E18 (sharded) of the
-// experiment registry. These tests drive them through the registry, the
-// way ode-bench -workload does, at CI size with two workers; they run
-// in parallel and share one embedded E17 run.
+// The six mixes run as E17 (embedded, remote) and E18 (sharded). These
+// tests drive them through the registry, the way ode-bench -workload
+// does, at CI size with two workers. The rows they check are the smoke
+// run's (TestRegistrySmoke), so each mix runs embedded once per test
+// binary; only the determinism check runs cases a second time.
 
-// run runs experiment id with seed and returns the rows of the cases
+// runMix runs experiment id with seed and returns the rows of the cases
 // keep accepts; the other cases are only declared.
-func run(id string, seed int64, keep func(bench.Case) bool) (rows []bench.Row, err error) {
-	for _, e := range bench.Experiments() {
-		if e.ID == id {
-			err = e.Run(bench.Driver{Short: true, Workers: 2, Seed: seed, Measure: func(c bench.Case) error {
-				if !keep(c) {
-					return nil
-				}
-				row, err := c.Row(e.ID, 1)
-				rows = append(rows, row)
-				return err
-			}})
-		}
-	}
-	return rows, err
-}
-
-func mixRows(t *testing.T, id string, seed int64, keep func(bench.Case) bool) []bench.Row {
+func runMix(t *testing.T, id string, seed int64, keep func(Case) bool) []Row {
 	t.Helper()
-	rows, err := run(id, seed, keep)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	var rows []Row
+	for _, e := range Experiments() {
+		if e.ID != id {
+			continue
+		}
+		err := e.Run(Driver{Short: true, Workers: 2, Seed: seed, Measure: func(c Case) error {
+			if !keep(c) {
+				return nil
+			}
+			row, err := c.Row(e.ID, 1)
+			rows = append(rows, row)
+			return err
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 	}
 	return rows
 }
 
-func embedded(c bench.Case) bool { return c.Mode == "embedded" }
-
-// embeddedRows runs E17's embedded cases (seed 1) once for the tests
-// that read them.
-var embeddedRows = sync.OnceValues(func() (map[string]bench.Row, error) {
-	rows, err := run("E17", 1, embedded)
-	byName := map[string]bench.Row{}
-	for _, r := range rows {
-		byName[r.Workload] = r
-	}
-	return byName, err
-})
-
-func embeddedRow(t *testing.T, name string) bench.Row {
+// embeddedRow is the smoke run's E17 embedded row of mix name (seed 1).
+func embeddedRow(t *testing.T, name string) Row {
 	t.Helper()
-	rows, err := embeddedRows()
-	if err != nil {
-		t.Fatalf("E17: %v", err)
+	for _, r := range smokeRows(t)["E17"] {
+		if r.Workload == name && r.Mode == "embedded" {
+			return r
+		}
 	}
-	r, ok := rows[name]
-	if !ok {
-		t.Fatalf("E17 has no embedded row %q", name)
-	}
-	return r
+	t.Fatalf("E17 has no embedded row %q", name)
+	return Row{}
 }
 
 // opCounts is a row's op count and its op.<kind> counts.
-func opCounts(r bench.Row) map[string]float64 {
+func opCounts(r Row) map[string]float64 {
 	ops := map[string]float64{"ops": r.Extra["ops"]}
 	for k, v := range r.Extra {
 		if strings.HasPrefix(k, "op.") {
@@ -104,8 +85,8 @@ func TestMixesEmbeddedShort(t *testing.T) {
 // exactly.
 func TestOpCountsDeterministic(t *testing.T) {
 	t.Parallel()
-	for _, again := range mixRows(t, "E17", 1, func(c bench.Case) bool {
-		return embedded(c) && (c.Name == "bom" || c.Name == "points")
+	for _, again := range runMix(t, "E17", 1, func(c Case) bool {
+		return c.Mode == "embedded" && (c.Name == "bom" || c.Name == "points")
 	}) {
 		first := embeddedRow(t, again.Workload)
 		if a, b := opCounts(first), opCounts(again); !reflect.DeepEqual(a, b) {
@@ -114,15 +95,20 @@ func TestOpCountsDeterministic(t *testing.T) {
 	}
 }
 
-// TestTransportsAgree runs the points mix embedded, through a loopback
-// server and through a 2-shard loopback router: the op mix is a pure
-// function of the seed, so all three rows must agree on every count.
+// TestTransportsAgree reads the smoke run's points rows, embedded,
+// through a loopback server and through a 2-shard loopback router: the
+// op mix is a pure function of the seed, so all three rows must agree
+// on every count.
 func TestTransportsAgree(t *testing.T) {
 	t.Parallel()
-	points := func(c bench.Case) bool { return c.Name == "points" }
-	rows := append(mixRows(t, "E17", 7, points), mixRows(t, "E18", 7, points)...)
+	all := smokeRows(t)
+	var rows []Row
 	var modes []string
-	for _, r := range rows {
+	for _, r := range append(all["E17"], all["E18"]...) {
+		if r.Workload != "points" {
+			continue
+		}
+		rows = append(rows, r)
 		modes = append(modes, r.Mode)
 		if a, b := opCounts(rows[0]), opCounts(r); !reflect.DeepEqual(a, b) {
 			t.Errorf("op counts diverge across transports:\n%s %v\n%s %v", rows[0].Mode, a, r.Mode, b)
@@ -143,7 +129,7 @@ func TestTriggersRefusedRemotely(t *testing.T) {
 	t.Parallel()
 	for _, id := range []string{"E17", "E18"} {
 		var remote []string
-		mixRows(t, id, 1, func(c bench.Case) bool {
+		runMix(t, id, 1, func(c Case) bool {
 			if c.Mode != "embedded" {
 				remote = append(remote, c.Name)
 			}

@@ -45,7 +45,7 @@ func Experiments() []Experiment {
 		{"E10", "trigger activation / firing / quiescence (WE §6)", e10},
 		{"E11", "volatile vs persistent manipulation (PC §2)", e11},
 		{"E12", "crash recovery (repair-on-open)", e12},
-		{"E13", "multi-core read path: parallel forall and concurrent deref", e13},
+		{"E13", "multi-core read path: serial cluster scan and concurrent deref", e13},
 		{"E14", "resource governance: admission control, deadlines, bounded WAL", e14},
 		{"E15", "network server: embedded vs remote wire protocol", e15},
 		{"E16", "commit & wire fast paths: group commit, client object cache", e16},
@@ -60,7 +60,7 @@ func Experiments() []Experiment {
 // measures each case the experiment declares.
 type Driver struct {
 	Short bool // divide every size by 10 (ode-bench -quick, go test -short); the mixes' CI sizes
-	// Workers is the largest worker count of E13's sweeps (0:
+	// Workers is the largest worker count of E13's deref sweep (0:
 	// GOMAXPROCS) and the worker count of the E17/E18 mixes (0: 4).
 	Workers int
 	Seed    int64  // the mixes' PRNG seed (0: 1); their op counts are a pure function of it

@@ -8,45 +8,58 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestRegistrySmoke runs every experiment at the smallest scale (sizes
-// divided by 10, one op per case; the mixes at their CI sizes) through
-// the same Case.Row path ode-bench takes, so each case's correctness
-// check runs, and checks
-// the rows: every experiment yields some, names are unique (per mode
-// and worker count) and repeat no column label, and the E16 rows
-// ci/bench_gate.sh gates come out of the -json encoding under the
-// exact names and worker count its gate_row scan looks for. The E17
-// rows go through ci/workload_gate.sh itself. Every mix runs embedded;
-// the remote and sharded cases run for points only, since they differ
-// from it in the Store alone (internal/workload's TestTransportsAgree
-// holds the transports to equal op counts).
-func TestRegistrySmoke(t *testing.T) {
-	var e16, mixRows []Row
+// smoke runs every experiment once at the smallest scale (sizes
+// divided by 10, one op per case; the mixes at their CI sizes, seed 1,
+// two workers) through the same Case.Row path ode-bench takes, so each
+// case's correctness check runs, and returns the rows by experiment.
+// Every mix runs embedded; the remote and sharded cases run for points
+// only, since they differ from it in the Store alone (TestTransportsAgree
+// holds the transports to equal op counts). TestRegistrySmoke checks the
+// rows; the mix tests read E17's.
+var smoke = sync.OnceValues(func() (map[string][]Row, error) {
+	rows := map[string][]Row{}
 	for _, e := range Experiments() {
-		var rows []Row
 		err := e.Run(Driver{Short: true, Workers: 2, Measure: func(c Case) error {
 			if c.Mode != "" && c.Mode != "embedded" && c.Name != "points" {
 				return nil
 			}
 			row, err := c.Row(e.ID, 1)
-			rows = append(rows, row)
+			rows[e.ID] = append(rows[e.ID], row)
 			_ = row.String()
 			return err
 		}})
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
+	}
+	return rows, nil
+})
+
+func smokeRows(t *testing.T) map[string][]Row {
+	t.Helper()
+	rows, err := smoke()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestRegistrySmoke checks the smoke run's rows: every experiment
+// yields some, names are unique (per mode and worker count) and repeat
+// no column label, and the E16 rows ci/bench_gate.sh gates come out of
+// the -json encoding under the exact names and worker count its
+// gate_row scan looks for. The E17 rows go through ci/workload_gate.sh
+// itself.
+func TestRegistrySmoke(t *testing.T) {
+	all := smokeRows(t)
+	for _, e := range Experiments() {
+		rows := all[e.ID]
 		if len(rows) == 0 {
 			t.Errorf("%s: no rows", e.ID)
-		}
-		switch e.ID {
-		case "E16":
-			e16 = rows
-		case "E17":
-			mixRows = rows
 		}
 		seen := map[string]bool{}
 		for _, r := range rows {
@@ -64,6 +77,7 @@ func TestRegistrySmoke(t *testing.T) {
 			}
 		}
 	}
+	e16 := all["E16"]
 
 	buf, err := EncodeRows(e16)
 	if err != nil {
@@ -92,7 +106,7 @@ func TestRegistrySmoke(t *testing.T) {
 			t.Errorf("gate_row %q workers=4 = %q, want %s", name, got, want)
 		}
 	}
-	t.Run("workload_gate", func(t *testing.T) { workloadGateReads(t, mixRows) })
+	t.Run("workload_gate", func(t *testing.T) { workloadGateReads(t, all["E17"]) })
 }
 
 // workloadGateReads runs ci/workload_gate.sh on the -json encoding of

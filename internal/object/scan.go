@@ -59,7 +59,7 @@ func (e *Extent) Next(buf []core.OID) ([]core.OID, error) {
 }
 
 // Resolver reads the current images of batches of objects for one
-// goroutine of a scan. It never reads or fills the object cache: a scan
+// scan. It never reads or fills the object cache: a scan
 // larger than the cache would only churn it, and a cache hit costs a
 // deep copy, about as much as the decode it saves.
 type Resolver struct {

@@ -289,7 +289,6 @@ type QueryMetrics struct {
 	RowsYielded        Counter // objects that satisfied predicates and reached the body
 	RowsDecoded        Counter // stored images extent scans decoded into objects
 	FixpointRounds     Counter // delta rounds executed by fixpoint iteration
-	ParallelForalls    Counter // foralls executed by the parallel worker pool
 }
 
 // TriggerMetrics instruments the trigger service.
@@ -393,7 +392,6 @@ type QueryStats struct {
 	RowsYielded        uint64
 	RowsDecoded        uint64
 	FixpointRounds     uint64
-	ParallelForalls    uint64
 }
 
 // TriggerStats is a point-in-time copy of TriggerMetrics.
@@ -487,7 +485,6 @@ func (m *Metrics) Stats() Snapshot {
 			RowsYielded:        m.Query.RowsYielded.Load(),
 			RowsDecoded:        m.Query.RowsDecoded.Load(),
 			FixpointRounds:     m.Query.FixpointRounds.Load(),
-			ParallelForalls:    m.Query.ParallelForalls.Load(),
 		},
 		Trigger: TriggerStats{
 			Activations:  m.Trigger.Activations.Load(),
@@ -563,7 +560,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"query.rows_yielded", &m.Query.RowsYielded},
 		{"query.rows_decoded", &m.Query.RowsDecoded},
 		{"query.fixpoint_rounds", &m.Query.FixpointRounds},
-		{"query.parallel_foralls", &m.Query.ParallelForalls},
 		{"trigger.activations", &m.Trigger.Activations},
 		{"trigger.firings", &m.Trigger.Firings},
 		{"trigger.timeouts", &m.Trigger.Timeouts},

@@ -3,11 +3,8 @@ package query
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ode/internal/core"
 	"ode/internal/object"
@@ -31,7 +28,6 @@ type Query struct {
 	desc     bool
 	snapshot bool
 	noIndex  bool
-	workers  int  // > 1: partition the scan across a worker pool
 	internal bool // subquery of a join: excluded from forall/plan counters
 	bare     bool // the body reads no object (Count): extent scans skip the decode
 	images   bool // the body takes stored images (DoImages): extent scans skip the decode
@@ -102,24 +98,6 @@ func (q *Query) NoIndex() *Query {
 	return q
 }
 
-// Parallel partitions the scan across n worker goroutines (n <= 0 means
-// GOMAXPROCS). Parallel implies Snapshot: objects created during the
-// loop are not visited, because fixpoint semantics need a serial view
-// of the growing write set. Ordered runs (By/ByKey) stay serial too —
-// their output order must be deterministic. The body runs concurrently,
-// so it must be safe for concurrent invocation; reading through the
-// transaction (Deref, field access) is safe, mutating it (Update, PNew,
-// Delete) is not. Collect and Count synchronize internally. Iteration
-// order across workers is unspecified.
-func (q *Query) Parallel(n int) *Query {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	q.workers = n
-	q.snapshot = true
-	return q
-}
-
 // Plan returns a description of the access path chosen by the last run
 // ("" before any run).
 func (q *Query) Plan() string { return q.plan }
@@ -142,10 +120,9 @@ func (q *Query) Do(fn func(it Item) (bool, error)) error {
 // query reuses for every batch, so it is valid only until fn returns.
 // Every other row (from the write set, a fixpoint delta or an index
 // range, or tested by a predicate only Eval can test) comes as
-// fn(it, nil) with it.Obj set. Ordered and Parallel loops decode every
-// row.
+// fn(it, nil) with it.Obj set. Ordered loops decode every row.
 func (q *Query) DoImages(fn func(it Item, image []byte) (bool, error)) error {
-	q.images = q.byField == "" && q.byKey == nil && q.workers <= 1
+	q.images = q.byField == "" && q.byKey == nil
 	defer func() { q.images = false }()
 	return q.run(fn)
 }
@@ -159,23 +136,16 @@ func (q *Query) run(fn rowFn) error {
 		return q.runOrdered(fn)
 	}
 	if q.snapshot {
-		if q.workers > 1 {
-			return q.runParallel(fn)
-		}
 		return q.gatherEach(fn)
 	}
 	return q.runFixpoint(fn)
 }
 
-// Collect runs the loop and returns all bindings. With Parallel the
-// result order is unspecified.
+// Collect runs the loop and returns all bindings.
 func (q *Query) Collect() ([]Item, error) {
-	var mu sync.Mutex
 	var out []Item
 	err := q.Do(func(it Item) (bool, error) {
-		mu.Lock()
 		out = append(out, it)
-		mu.Unlock()
 		return true, nil
 	})
 	return out, err
@@ -185,14 +155,14 @@ func (q *Query) Collect() ([]Item, error) {
 // an extent scan decodes only the objects an Fn predicate needs: the
 // bindings it counts carry no object.
 func (q *Query) Count() (int, error) {
-	var n atomic.Int64
+	n := 0
 	q.bare = q.byField == "" && q.byKey == nil
 	defer func() { q.bare = false }()
 	err := q.Do(func(Item) (bool, error) {
-		n.Add(1)
+		n++
 		return true, nil
 	})
-	return int(n.Load()), err
+	return n, err
 }
 
 // classes returns the extents to visit.
@@ -392,7 +362,7 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		}
 		rows := rowBuf[:len(batch)]
 		clear(rows)
-		if q.images { // never set on a Parallel loop, whose workers share q
+		if q.images {
 			q.arena = q.arena[:0]
 		}
 		decoded := 0
@@ -468,132 +438,6 @@ func (q *Query) scanLeaf(r *txn.BatchReader, leaf []core.OID, skip map[core.OID]
 		}
 	}
 	return true, nil
-}
-
-// runParallel is the snapshot loop partitioned across q.workers
-// goroutines. The transaction write set is visited first, serially
-// (those objects live in tx-local state and are authoritative); the
-// committed candidates are then claimed in chunks from a shared source:
-// one cluster leaf per chunk on an extent scan, a slice of the range on
-// an index scan. A body returning false or an error raises a stop flag
-// that every worker polls per object, and the error of the
-// lowest-numbered chunk wins, so the reported error does not depend on
-// goroutine scheduling.
-func (q *Query) runParallel(fn rowFn) error {
-	skip, cont, err := q.visitWriteSet(fn)
-	if err != nil || !cont {
-		return err
-	}
-	lo, hi, field := q.planIndex()
-	q.plan += fmt.Sprintf(" parallel(%d)", q.workers)
-	if !q.internal {
-		q.met().ParallelForalls.Inc()
-	}
-
-	// next hands out the chunks; the claim lock serializes it.
-	var next func(buf []core.OID) ([]core.OID, error)
-	if field != "" {
-		oids, err := q.tx.Manager().IndexOIDs(q.class, field, lo, hi)
-		if err != nil {
-			return err
-		}
-		oids = slices.DeleteFunc(oids, func(oid core.OID) bool { return skip[oid] })
-		// ~8 chunks per worker balances skew against claim traffic.
-		chunk := max(1, len(oids)/(q.workers*8))
-		next = func([]core.OID) ([]core.OID, error) {
-			part := oids[:min(chunk, len(oids))]
-			oids = oids[len(part):]
-			return part, nil
-		}
-	} else {
-		exts := q.extents()
-		next = func(buf []core.OID) ([]core.OID, error) {
-			for len(exts) > 0 {
-				leaf, err := exts[0].Next(buf[:0])
-				if err != nil || len(leaf) > 0 {
-					return leaf, err
-				}
-				exts = exts[1:]
-			}
-			return nil, nil
-		}
-	}
-
-	var (
-		claimMu  sync.Mutex
-		claimed  int
-		firstErr error
-		errChunk = -1
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-	)
-	fail := func(ci int, err error) {
-		claimMu.Lock()
-		if errChunk < 0 || ci < errChunk {
-			firstErr, errChunk = err, ci
-		}
-		claimMu.Unlock()
-		stop.Store(true)
-	}
-	visit := func(it Item, image []byte) (bool, error) {
-		if stop.Load() {
-			return false, nil
-		}
-		return fn(it, image)
-	}
-	for w := 0; w < q.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var r *txn.BatchReader
-			var buf []core.OID
-			for !stop.Load() {
-				claimMu.Lock()
-				ci := claimed
-				claimed++
-				// Chunk boundary: each worker re-checks the transaction
-				// context before claiming more work, so a Parallel(n)
-				// scan stops within one chunk of cancellation.
-				err := q.tx.Err()
-				var chunk []core.OID
-				if err == nil {
-					chunk, err = next(buf)
-				}
-				claimMu.Unlock()
-				if err != nil {
-					fail(ci, err)
-					return
-				}
-				if len(chunk) == 0 {
-					return
-				}
-				cont := true
-				if field != "" {
-					for _, oid := range chunk {
-						if cont, err = q.visitOID(oid, visit); err != nil || !cont {
-							break
-						}
-					}
-				} else {
-					buf = chunk
-					if r == nil {
-						r = q.tx.NewBatchReader()
-					}
-					cont, err = q.scanLeaf(r, chunk, skip, visit)
-				}
-				if err != nil {
-					fail(ci, err)
-					return
-				}
-				if !cont {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // gather collects the matching items (ordered runs need them all).

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -640,5 +641,82 @@ func TestCollectAndEmptyExtent(t *testing.T) {
 	}
 	if len(items) != 0 {
 		t.Errorf("empty extent returned %d items", len(items))
+	}
+}
+
+// TestLoopStopsAndFails checks how a loop ends on each of its paths
+// (the write set, an extent scan, an index range), snapshot and
+// fixpoint alike: a body returning false stops it after that binding
+// with no error, and an error from the body, the suchthat clause or an
+// Fn predicate ends it with that error. An object the transaction
+// created is visited exactly once.
+func TestLoopStopsAndFails(t *testing.T) {
+	u := newUniversity(t)
+	u.seed(t)
+	if err := u.engine.Manager().CreateIndex(u.person, "income"); err != nil {
+		t.Fatal(err)
+	}
+	tx := u.engine.Begin()
+	defer tx.Abort()
+	boom := errors.New("boom")
+	paths := []struct {
+		name string
+		q    func() *Query
+	}{
+		{"extent", func() *Query { return Forall(tx, u.person).Subtypes() }},
+		{"index", func() *Query { return Forall(tx, u.person).SuchThat(Field("income").Ge(core.Int(0))) }},
+	}
+	ends := func(stage string) {
+		for _, p := range paths {
+			for _, snapshot := range []bool{false, true} {
+				loop := func() *Query {
+					if snapshot {
+						return p.q().Snapshot()
+					}
+					return p.q()
+				}
+				for _, want := range []error{nil, boom} {
+					visits := 0
+					err := loop().Do(func(Item) (bool, error) {
+						visits++
+						return false, want
+					})
+					if !errors.Is(err, want) || visits != 1 {
+						t.Errorf("%s %s snapshot=%v: body (false, %v) ended the loop with %v after %d visits, want %v after 1",
+							stage, p.name, snapshot, want, err, visits, want)
+					}
+				}
+				failing := Fn(func(core.Store, Item) (bool, error) { return false, boom })
+				if _, err := loop().SuchThat(failing).Count(); !errors.Is(err, boom) {
+					t.Errorf("%s %s snapshot=%v: failing Fn predicate gave %v", stage, p.name, snapshot, err)
+				}
+			}
+		}
+	}
+	ends("committed")
+	if _, err := Forall(tx, u.person).SuchThat(Field("nosuch").Eq(core.Int(1))).Count(); !errors.Is(err, core.ErrNoSuchMember) {
+		t.Errorf("suchthat on a missing field gave %v, want ErrNoSuchMember", err)
+	}
+
+	o := core.NewObject(u.person)
+	o.MustSet("name", core.Str("zelda"))
+	o.MustSet("income", core.Int(5000))
+	oid, err := tx.PNew(u.person, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends("write set") // the created object is now the first binding
+	items, err := Forall(tx, u.person).Subtypes().Snapshot().Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, it := range items {
+		if it.OID == oid {
+			seen++
+		}
+	}
+	if len(items) != 19 || seen != 1 {
+		t.Fatalf("snapshot loop yielded %d items, the created object %d times; want 19 and 1", len(items), seen)
 	}
 }

@@ -122,6 +122,59 @@ func TestShardedSingleShardFastPath(t *testing.T) {
 	}
 }
 
+// TestShardedRunTxPanicReleasesTx: a router RunTx body that panics
+// after writing both shards has every shard transaction aborted before
+// the panic reaches the caller, so the next writer of those objects
+// gets their locks at once.
+func TestShardedRunTxPanicReleasesTx(t *testing.T) {
+	_, _, sh, stock := startShardGroup(t, 2)
+	ctx := context.Background()
+	var oids []ode.OID
+	err := sh.RunTx(ctx, func(tx *client.STx) error {
+		oids = oids[:0]
+		for i := 0; i < 2; i++ {
+			oid, err := tx.PNew(stock, item(stock, fmt.Sprintf("part-%d", i), 1, 1))
+			if err != nil {
+				return err
+			}
+			oids = append(oids, oid)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setQty := func(qty int64) func(tx *client.STx) error {
+		return func(tx *client.STx) error {
+			for _, oid := range oids {
+				if err := tx.Update(oid, item(stock, "part", qty, 1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		_ = sh.RunTx(ctx, func(tx *client.STx) error {
+			if err := setQty(2)(tx); err != nil {
+				return err
+			}
+			panic("boom")
+		})
+	}()
+	short, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancel()
+	if err := sh.RunTx(short, setQty(3)); err != nil {
+		t.Fatalf("update after a panicked update of the same objects: %v", err)
+	}
+}
+
 // seedKeyed inserts n objects through insert and then rewrites each so
 // its content is a pure function of its OID — making the dataset's
 // (oid, image) stream identical wherever the same OID set exists.

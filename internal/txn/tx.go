@@ -347,7 +347,7 @@ type Tx struct {
 	state   int
 	ctx     context.Context // never nil; Background without a governor
 	failErr error           // stateFailed: the admission rejection
-	noted   atomic.Bool     // Cancels metric latch (parallel scans share a Tx)
+	noted   bool            // the Cancels metric counted this transaction
 
 	writes  map[core.OID]*txWrite
 	ops     []wal.Op
@@ -385,12 +385,9 @@ func (tx *Tx) Err() error {
 }
 
 // noteCtxErr types a context failure and counts the transaction as
-// canceled exactly once (parallel scan workers share the Tx, so the
-// latch is atomic).
+// canceled exactly once.
 func (tx *Tx) noteCtxErr(err error) error {
-	if tx.noted.CompareAndSwap(false, true) {
-		tx.engine.met.Txn.Cancels.Inc()
-	}
+	tx.noteCancel()
 	return fmt.Errorf("%w (tx %d)", FromContextErr(err), tx.id)
 }
 
@@ -398,9 +395,15 @@ func (tx *Tx) noteCtxErr(err error) error {
 // failure surfaced by a lower layer (lock manager, backpressure).
 func (tx *Tx) noteIfCtx(err error) {
 	if errors.Is(err, ErrTxTimeout) || errors.Is(err, ErrCanceled) {
-		if tx.noted.CompareAndSwap(false, true) {
-			tx.engine.met.Txn.Cancels.Inc()
-		}
+		tx.noteCancel()
+	}
+}
+
+// noteCancel counts the transaction in the Cancels metric, once.
+func (tx *Tx) noteCancel() {
+	if !tx.noted {
+		tx.noted = true
+		tx.engine.met.Txn.Cancels.Inc()
 	}
 }
 
@@ -466,13 +469,12 @@ func (tx *Tx) Deref(oid core.OID) (*core.Object, error) {
 	return o, nil
 }
 
-// BatchReader is Deref for a batch of objects at a time, for one
-// goroutine of an extent scan. It gives the same view as Deref —
-// objects this transaction wrote come from its private state — and
-// takes the same locks, S on every other object, held to commit; but it
-// takes a batch's locks in one lock-table critical section and then
-// reads the whole batch under one hold of the object manager's read
-// lock (object.Resolver).
+// BatchReader is Deref for a batch of objects at a time, for an extent
+// scan. It gives the same view as Deref — objects this transaction
+// wrote come from its private state — and takes the same locks, S on
+// every other object, held to commit; but it takes a batch's locks in
+// one lock-table critical section and then reads the whole batch under
+// one hold of the object manager's read lock (object.Resolver).
 type BatchReader struct {
 	tx   *Tx
 	res  *object.Resolver

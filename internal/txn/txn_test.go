@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -746,5 +747,43 @@ func TestBatchReaderReadMatchesDeref(t *testing.T) {
 	}
 	if held := e.Locks().HeldLocks(tx.ID()); held[oids[0]] != Shared || len(held) < len(oids)-1 {
 		t.Errorf("reader holds %d locks (@%d: %v), want S on every committed object", len(held), oids[0], held[oids[0]])
+	}
+}
+
+// TestCancelCountedOnce: a transaction whose context ends reports the
+// typed error at every later check, but counts in txn.cancels once,
+// whether the lock manager or the transaction saw the context first.
+func TestCancelCountedOnce(t *testing.T) {
+	e, item := newTestEngine(t)
+	seed := e.Begin()
+	oid, err := seed.PNew(item, newItem(item, "a", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	holder := e.Begin()
+	defer holder.Abort()
+	if err := holder.Update(oid, newItem(item, "a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	cancels := &e.Metrics().Txn.Cancels
+	before := cancels.Load()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	tx := e.BeginCtx(ctx)
+	defer tx.Abort()
+	if _, err := tx.Deref(oid); !errors.Is(err, ErrTxTimeout) {
+		t.Fatalf("Deref behind an X lock past the deadline = %v, want ErrTxTimeout", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := tx.Err(); !errors.Is(err, ErrTxTimeout) {
+			t.Fatalf("Err after the deadline = %v, want ErrTxTimeout", err)
+		}
+	}
+	if got := cancels.Load() - before; got != 1 {
+		t.Fatalf("txn.cancels rose by %d, want 1", got)
 	}
 }

@@ -594,13 +594,7 @@ func (db *DB) RunTxCtx(ctx context.Context, fn func(tx *Tx) error) error {
 		ctx = context.Background()
 	}
 	for attempt := 0; ; attempt++ {
-		tx := db.BeginCtx(ctx)
-		err := fn(tx)
-		if err == nil {
-			err = tx.Commit()
-		} else {
-			tx.Abort()
-		}
+		err := db.attempt(ctx, fn)
 		if err == nil {
 			return nil
 		}
@@ -629,6 +623,19 @@ func (db *DB) RunTxCtx(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		time.Sleep(retryBackoff(attempt))
 	}
+}
+
+// attempt runs fn in one transaction and commits it when fn returns
+// nil. The deferred Abort, a no-op after Commit, ends the transaction
+// when fn fails or panics, so a panicking body releases its locks and
+// its admission slot before the panic goes on up.
+func (db *DB) attempt(ctx context.Context, fn func(tx *Tx) error) error {
+	tx := db.BeginCtx(ctx)
+	defer tx.Abort()
+	if err := fn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
 // View runs fn in a transaction that is always aborted (read-only use).

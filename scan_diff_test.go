@@ -20,7 +20,7 @@ import (
 // against three concurrent writers (an inserter, an updater and a
 // deleter) and cover C and C* loops, the scanning transaction's own
 // updates, deletes and creates, fixpoint bodies that create objects or
-// make one start to match, early stops, and Parallel(n); Count, which
+// make one start to match, and early stops; Count, which
 // decodes no object, is checked against the reference's length.
 
 type diffWorld struct {
@@ -292,7 +292,7 @@ func diffScans(t *testing.T, seed int64) {
 			if err := w.checkLoop(tx, rng, mode, c, star, min); err != nil {
 				return err
 			}
-			if mode == modePlain || mode == modeSnapshot || mode == modeParallel {
+			if mode == modePlain || mode == modeSnapshot {
 				if err := w.checkCount(tx, mode, c, star, min); err != nil {
 					return err
 				}
@@ -317,7 +317,6 @@ func diffScans(t *testing.T, seed int64) {
 const (
 	modePlain    = iota // fixpoint semantics, no body writes
 	modeSnapshot        // Snapshot()
-	modeParallel        // Parallel(3)
 	modeStop            // the body stops the loop early
 	modeCreate          // a fixpoint body creates matching objects
 	modeStart           // a fixpoint body makes an object start to match
@@ -332,11 +331,8 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 	if star {
 		q = q.Subtypes()
 	}
-	switch mode {
-	case modeSnapshot:
+	if mode == modeSnapshot {
 		q = q.Snapshot()
-	case modeParallel:
-		q = q.Parallel(3)
 	}
 	ws0 := tx.WriteSet()
 	// The snapshot body writes the last object of c's extent before the
@@ -351,13 +347,10 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 	before := w.seq.Load()
 	limit := 1 + rng.Intn(40)
 	var got []diffRow
-	var mu sync.Mutex
 	var created, started []OID
 	err := q.Do(func(it Item) (bool, error) {
-		mu.Lock()
 		got = append(got, rowOf(it))
 		n := len(got)
-		mu.Unlock()
 		switch {
 		case mode == modeStop && n == limit:
 			return false, nil
@@ -456,8 +449,7 @@ func (w *diffWorld) checkLoop(tx *Tx, rng *rand.Rand, mode int, c *Class, star b
 			}
 		}
 	default:
-		// Parallel loops yield in any order; fixpoint bodies rewrite
-		// objects after they were yielded.
+		// Fixpoint bodies rewrite objects after they were yielded.
 		if len(got) != len(ref) {
 			return fmt.Errorf("mode %d (C%s, n >= %d): %d rows, reference %d", mode, starIf(star), min, len(got), len(ref))
 		}
@@ -483,11 +475,8 @@ func (w *diffWorld) checkCount(tx *Tx, mode int, c *Class, star bool, min int64)
 	if star {
 		q = q.Subtypes()
 	}
-	switch mode {
-	case modeSnapshot:
+	if mode == modeSnapshot {
 		q = q.Snapshot()
-	case modeParallel:
-		q = q.Parallel(3)
 	}
 	ws0 := tx.WriteSet()
 	before := w.seq.Load()
